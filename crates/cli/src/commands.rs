@@ -398,6 +398,11 @@ pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
     let data = flags.required("--data")?;
     let op = parse_operator(flags.value("--op").unwrap_or("psd"))?;
     let k: usize = flags.parsed_or("--k", 1)?;
+    if k == 0 {
+        return Err(CliError::BadArgument(
+            "--k must be at least 1 (k = 1 is plain NNC)".into(),
+        ));
+    }
     let threads: usize = flags.parsed_or("--threads", 1)?;
     let shards: usize = flags.parsed_or("--shards", 1)?;
     let progressive = flags.has("--progressive");
@@ -1186,6 +1191,45 @@ mod tests {
             "--threads",
             "2",
             "--profile",
+        ]))
+        .unwrap();
+        std::fs::remove_file(&out).ok();
+        std::fs::remove_file(&qfile).ok();
+    }
+
+    #[test]
+    fn query_rejects_k_zero() {
+        let out = tmp("kzero.csv");
+        cmd_gen(&flags(&[
+            "--out",
+            &out,
+            "--dataset",
+            "indep",
+            "--n",
+            "20",
+            "--m",
+            "3",
+            "--dim",
+            "2",
+        ]))
+        .unwrap();
+        let qfile = tmp("kzero-queries.txt");
+        std::fs::write(&qfile, "5000,5000\n").unwrap();
+        for mode in [["--query", "5000,5000"], ["--queries", &qfile]] {
+            let mut v = vec!["--data", &out, "--k", "0"];
+            v.extend_from_slice(&mode);
+            let err = cmd_query(&flags(&v)).unwrap_err();
+            assert!(matches!(err, CliError::BadArgument(_)), "{err}");
+            assert!(err.to_string().contains("--k"), "{err}");
+        }
+        // k = 1 is the plain-NNC default and stays accepted.
+        cmd_query(&flags(&[
+            "--data",
+            &out,
+            "--query",
+            "5000,5000",
+            "--k",
+            "1",
         ]))
         .unwrap();
         std::fs::remove_file(&out).ok();

@@ -113,33 +113,131 @@ impl LevelSnapshot {
     }
 }
 
-/// Lazily-populated per-object derived state for one query.
-pub struct DominanceCache {
-    /// `U_Q` per object.
-    dist_q: Vec<Option<Arc<DistanceDistribution>>>,
-    /// `U_q` for every query instance, per object.
-    per_q: Vec<Option<Arc<Vec<DistanceDistribution>>>>,
-    /// min/mean/max of `U_Q`, per object.
-    agg: Vec<Option<AggStats>>,
-    /// min/mean/max of each `U_q`, per object.
-    per_q_agg: Vec<Option<Arc<Vec<AggStats>>>>,
-    /// Quantised instance masses, per object.
-    quanta: Vec<Option<Arc<Vec<u64>>>>,
+/// Every lazily filled piece of derived state of one touched object.
+#[derive(Default)]
+struct ObjectRecord {
+    /// `U_Q`.
+    dist_q: Option<Arc<DistanceDistribution>>,
+    /// `U_q` for every query instance.
+    per_q: Option<Arc<Vec<DistanceDistribution>>>,
+    /// min/mean/max of `U_Q`.
+    agg: Option<AggStats>,
+    /// min/mean/max of each `U_q`.
+    per_q_agg: Option<Arc<Vec<AggStats>>>,
+    /// Quantised instance masses.
+    quanta: Option<Arc<Vec<u64>>>,
     /// Distance-space image of the instances w.r.t. the query hull, plus an
     /// R-tree over it (for the §5.1.2 range-query network construction).
-    mapped: Vec<Option<Arc<MappedInstances>>>,
-    /// Indices of instances lying inside `CH(Q)`, per object (the geometric
-    /// early-reject of the P-SD check).
-    in_hull: Vec<Option<Arc<Vec<usize>>>>,
-    /// Per-object level snapshots (group MBRs + masses + caps for every
-    /// R-tree level), per object.
-    levels: Vec<Option<Arc<LevelSnapshot>>>,
-    /// Optimistic/pessimistic bounds on the whole `U_Q`, per object per
-    /// clamped level (lazily sized to the snapshot's level count).
-    bounds_whole: Vec<Vec<Option<Arc<BoundPair>>>>,
+    mapped: Option<Arc<MappedInstances>>,
+    /// Indices of instances lying inside `CH(Q)` (the geometric early-reject
+    /// of the P-SD check).
+    in_hull: Option<Arc<Vec<usize>>>,
+    /// Level snapshot (group MBRs + masses + caps for every R-tree level).
+    levels: Option<Arc<LevelSnapshot>>,
+    /// Optimistic/pessimistic bounds on the whole `U_Q`, per clamped level
+    /// (sized to the snapshot's level count on first use).
+    bounds_whole: Vec<Option<Arc<BoundPair>>>,
     /// Optimistic/pessimistic bounds on each `U_q` (query-instance order),
-    /// per object per clamped level.
-    bounds_instance: Vec<Vec<Option<Arc<Vec<BoundPair>>>>>,
+    /// per clamped level.
+    bounds_instance: Vec<Option<Arc<Vec<BoundPair>>>>,
+}
+
+/// Free-slot marker of [`RecordTable`] (no object has this id).
+const EMPTY: usize = usize::MAX;
+
+/// Sparse map from object id to its [`ObjectRecord`]: an open-addressed
+/// probe array with linear probing over a dense record list.
+///
+/// The hash is a fixed multiplicative (Fibonacci) hash, so the layout —
+/// and therefore every probe sequence — is a pure function of the
+/// insertion order; no per-process random state is involved. Nothing is
+/// allocated until the first insert, and the probe array stays at most
+/// half full, so size and cost follow the objects a query touches, not
+/// the database size.
+#[derive(Default)]
+struct RecordTable {
+    /// `(id, index into records)`; `EMPTY` marks a free slot. Empty or a
+    /// power-of-two length.
+    slots: Vec<(usize, usize)>,
+    /// Records in first-touch order.
+    records: Vec<ObjectRecord>,
+}
+
+impl RecordTable {
+    /// Home slot of `id` in a probe array of `mask + 1` slots.
+    fn home(id: usize, mask: usize) -> usize {
+        ((id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
+    }
+
+    /// The probe slot holding `id`, or the free slot where it belongs.
+    /// Requires a non-empty probe array.
+    fn probe(&self, id: usize) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut pos = Self::home(id, mask);
+        while self.slots[pos].0 != id && self.slots[pos].0 != EMPTY {
+            pos = (pos + 1) & mask;
+        }
+        pos
+    }
+
+    fn get(&self, id: usize) -> Option<&ObjectRecord> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        match self.slots[self.probe(id)] {
+            (EMPTY, _) => None,
+            (_, idx) => Some(&self.records[idx]),
+        }
+    }
+
+    /// The record of `id`, created empty on first touch.
+    fn entry(&mut self, id: usize) -> &mut ObjectRecord {
+        debug_assert_ne!(id, EMPTY, "object id collides with the free marker");
+        if self.slots.is_empty() {
+            self.grow();
+        }
+        let mut pos = self.probe(id);
+        if self.slots[pos].0 == EMPTY {
+            if 2 * (self.records.len() + 1) > self.slots.len() {
+                self.grow();
+                pos = self.probe(id);
+            }
+            self.slots[pos] = (id, self.records.len());
+            self.records.push(ObjectRecord::default());
+        }
+        let idx = self.slots[pos].1;
+        &mut self.records[idx]
+    }
+
+    /// Doubles the probe array (16 slots at first) and re-inserts every id.
+    fn grow(&mut self) {
+        let cap = (2 * self.slots.len()).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![(EMPTY, 0); cap]);
+        for (id, idx) in old.into_iter().filter(|&(id, _)| id != EMPTY) {
+            let pos = self.probe(id);
+            self.slots[pos] = (id, idx);
+        }
+    }
+}
+
+fn hit(stats: &mut Stats, metrics: &mut QueryMetrics) {
+    stats.cache_hits += 1;
+    metrics.incr(Counter::CacheHits);
+}
+
+fn miss(stats: &mut Stats, metrics: &mut QueryMetrics) {
+    stats.cache_misses += 1;
+    metrics.incr(Counter::CacheMisses);
+}
+
+/// Lazily-populated per-object derived state for one query.
+///
+/// One [`ObjectRecord`] per object a getter was called for, kept in a
+/// sparse id-keyed table: creating the cache allocates nothing, and its
+/// memory and drop cost follow the objects the traversal touched.
+#[derive(Default)]
+pub struct DominanceCache {
+    table: RecordTable,
     /// Snapshot-scoped warm view, consulted only on the miss path of the
     /// snapshot-pure getters (`quanta`, `level_snapshot`, level bounds) so
     /// the legacy per-query hit/miss counters keep their exact semantics.
@@ -147,26 +245,17 @@ pub struct DominanceCache {
 }
 
 impl DominanceCache {
-    /// Creates an empty cache for a database of `n` objects.
-    pub fn new(n: usize) -> Self {
-        Self::with_warm(n, None)
+    /// Creates an empty cache.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Creates an empty cache that resolves snapshot-pure misses through
     /// `warm` (a per-query view into the shared epoch-keyed cache) instead
     /// of rebuilding locally. `None` is the plain cold cache.
-    pub fn with_warm(n: usize, warm: Option<WarmView>) -> Self {
+    pub fn with_warm(warm: Option<WarmView>) -> Self {
         DominanceCache {
-            dist_q: vec![None; n],
-            per_q: vec![None; n],
-            agg: vec![None; n],
-            per_q_agg: vec![None; n],
-            quanta: vec![None; n],
-            mapped: vec![None; n],
-            in_hull: vec![None; n],
-            levels: vec![None; n],
-            bounds_whole: vec![Vec::new(); n],
-            bounds_instance: vec![Vec::new(); n],
+            table: RecordTable::default(),
             warm,
         }
     }
@@ -186,17 +275,15 @@ impl DominanceCache {
         stats: &mut Stats,
         metrics: &mut QueryMetrics,
     ) -> Arc<DistanceDistribution> {
-        if let Some(d) = &self.dist_q[id] {
-            stats.cache_hits += 1;
-            metrics.incr(Counter::CacheHits);
+        if let Some(d) = self.table.get(id).and_then(|r| r.dist_q.as_ref()) {
+            hit(stats, metrics);
             return Arc::clone(d);
         }
-        stats.cache_misses += 1;
-        metrics.incr(Counter::CacheMisses);
+        miss(stats, metrics);
         let obj = db.object(id);
         stats.instance_comparisons += (obj.len() * query.len()) as u64;
         let d = Arc::new(DistanceDistribution::between_ref(obj, query.object()));
-        self.dist_q[id] = Some(Arc::clone(&d));
+        self.table.entry(id).dist_q = Some(Arc::clone(&d));
         d
     }
 
@@ -210,13 +297,11 @@ impl DominanceCache {
         stats: &mut Stats,
         metrics: &mut QueryMetrics,
     ) -> Arc<Vec<DistanceDistribution>> {
-        if let Some(d) = &self.per_q[id] {
-            stats.cache_hits += 1;
-            metrics.incr(Counter::CacheHits);
+        if let Some(d) = self.table.get(id).and_then(|r| r.per_q.as_ref()) {
+            hit(stats, metrics);
             return Arc::clone(d);
         }
-        stats.cache_misses += 1;
-        metrics.incr(Counter::CacheMisses);
+        miss(stats, metrics);
         let obj = db.object(id);
         stats.instance_comparisons += (obj.len() * query.len()) as u64;
         let d = Arc::new(
@@ -227,7 +312,7 @@ impl DominanceCache {
                 .map(|q| DistanceDistribution::to_instance_ref(obj, &q.point))
                 .collect::<Vec<_>>(),
         );
-        self.per_q[id] = Some(Arc::clone(&d));
+        self.table.entry(id).per_q = Some(Arc::clone(&d));
         d
     }
 
@@ -240,16 +325,14 @@ impl DominanceCache {
         stats: &mut Stats,
         metrics: &mut QueryMetrics,
     ) -> AggStats {
-        if let Some(a) = self.agg[id] {
-            stats.cache_hits += 1;
-            metrics.incr(Counter::CacheHits);
+        if let Some(a) = self.table.get(id).and_then(|r| r.agg) {
+            hit(stats, metrics);
             return a;
         }
-        stats.cache_misses += 1;
-        metrics.incr(Counter::CacheMisses);
+        miss(stats, metrics);
         let d = self.dist_q(db, query, id, stats, metrics);
         let a = (d.min(), d.mean(), d.max());
-        self.agg[id] = Some(a);
+        self.table.entry(id).agg = Some(a);
         a
     }
 
@@ -262,13 +345,11 @@ impl DominanceCache {
         stats: &mut Stats,
         metrics: &mut QueryMetrics,
     ) -> Arc<Vec<AggStats>> {
-        if let Some(a) = &self.per_q_agg[id] {
-            stats.cache_hits += 1;
-            metrics.incr(Counter::CacheHits);
+        if let Some(a) = self.table.get(id).and_then(|r| r.per_q_agg.as_ref()) {
+            hit(stats, metrics);
             return Arc::clone(a);
         }
-        stats.cache_misses += 1;
-        metrics.incr(Counter::CacheMisses);
+        miss(stats, metrics);
         let per_q = self.per_q(db, query, id, stats, metrics);
         let a = Arc::new(
             per_q
@@ -276,7 +357,7 @@ impl DominanceCache {
                 .map(|d| (d.min(), d.mean(), d.max()))
                 .collect::<Vec<_>>(),
         );
-        self.per_q_agg[id] = Some(Arc::clone(&a));
+        self.table.entry(id).per_q_agg = Some(Arc::clone(&a));
         a
     }
 
@@ -288,20 +369,18 @@ impl DominanceCache {
         stats: &mut Stats,
         metrics: &mut QueryMetrics,
     ) -> Arc<Vec<u64>> {
-        if let Some(q) = &self.quanta[id] {
-            stats.cache_hits += 1;
-            metrics.incr(Counter::CacheHits);
+        if let Some(q) = self.table.get(id).and_then(|r| r.quanta.as_ref()) {
+            hit(stats, metrics);
             return Arc::clone(q);
         }
-        stats.cache_misses += 1;
-        metrics.incr(Counter::CacheMisses);
+        miss(stats, metrics);
         let q = match &self.warm {
             Some(w) => w.quanta(db, id, metrics),
             // The store's probability column is already contiguous —
             // quantise the borrowed slice directly, no gather needed.
             None => Arc::new(quantize(db.object(id).probs())),
         };
-        self.quanta[id] = Some(Arc::clone(&q));
+        self.table.entry(id).quanta = Some(Arc::clone(&q));
         q
     }
 
@@ -316,13 +395,11 @@ impl DominanceCache {
         stats: &mut Stats,
         metrics: &mut QueryMetrics,
     ) -> Arc<MappedInstances> {
-        if let Some(m) = &self.mapped[id] {
-            stats.cache_hits += 1;
-            metrics.incr(Counter::CacheHits);
+        if let Some(m) = self.table.get(id).and_then(|r| r.mapped.as_ref()) {
+            hit(stats, metrics);
             return Arc::clone(m);
         }
-        stats.cache_misses += 1;
-        metrics.incr(Counter::CacheMisses);
+        miss(stats, metrics);
         let obj = db.object(id);
         let hull = query.hull();
         stats.instance_comparisons += (obj.len() * hull.len()) as u64;
@@ -341,7 +418,7 @@ impl DominanceCache {
             .collect();
         let tree = RTree::bulk_load(8, entries);
         let m = Arc::new((points, tree));
-        self.mapped[id] = Some(Arc::clone(&m));
+        self.table.entry(id).mapped = Some(Arc::clone(&m));
         m
     }
 
@@ -357,13 +434,11 @@ impl DominanceCache {
         stats: &mut Stats,
         metrics: &mut QueryMetrics,
     ) -> Arc<LevelSnapshot> {
-        if let Some(s) = &self.levels[id] {
-            stats.cache_hits += 1;
-            metrics.incr(Counter::CacheHits);
+        if let Some(s) = self.table.get(id).and_then(|r| r.levels.as_ref()) {
+            hit(stats, metrics);
             return Arc::clone(s);
         }
-        stats.cache_misses += 1;
-        metrics.incr(Counter::CacheMisses);
+        miss(stats, metrics);
         // The nested quanta lookup records its own hit/miss first, exactly
         // as the cold path does, before the warm view is consulted.
         let quanta = self.quanta(db, id, stats, metrics);
@@ -371,7 +446,7 @@ impl DominanceCache {
             Some(w) => w.level_snapshot(db, id, &quanta, metrics),
             None => Arc::new(build_level_snapshot(db, id, &quanta)),
         };
-        self.levels[id] = Some(Arc::clone(&s));
+        self.table.entry(id).levels = Some(Arc::clone(&s));
         s
     }
 
@@ -395,22 +470,21 @@ impl DominanceCache {
     ) -> Arc<BoundPair> {
         let snap = self.level_snapshot(db, id, stats, metrics);
         let idx = snap.clamped(level);
-        let slot = &mut self.bounds_whole[id];
-        if slot.is_empty() {
-            slot.resize_with(snap.num_levels(), || None);
-        }
-        if let Some(b) = &slot[idx] {
-            stats.cache_hits += 1;
-            metrics.incr(Counter::CacheHits);
+        let cached = self.table.get(id).and_then(|r| r.bounds_whole.get(idx));
+        if let Some(b) = cached.and_then(Option::as_ref) {
+            hit(stats, metrics);
             return Arc::clone(b);
         }
-        stats.cache_misses += 1;
-        metrics.incr(Counter::CacheMisses);
+        miss(stats, metrics);
         let b = match &self.warm {
             Some(w) => w.bounds_whole(query, id, &snap, level, metrics),
             None => Arc::new(build_bounds_whole(query, snap.level(level))),
         };
-        self.bounds_whole[id][idx] = Some(Arc::clone(&b));
+        let slots = &mut self.table.entry(id).bounds_whole;
+        if slots.is_empty() {
+            slots.resize_with(snap.num_levels(), || None);
+        }
+        slots[idx] = Some(Arc::clone(&b));
         b
     }
 
@@ -429,22 +503,21 @@ impl DominanceCache {
     ) -> Arc<Vec<BoundPair>> {
         let snap = self.level_snapshot(db, id, stats, metrics);
         let idx = snap.clamped(level);
-        let slot = &mut self.bounds_instance[id];
-        if slot.is_empty() {
-            slot.resize_with(snap.num_levels(), || None);
-        }
-        if let Some(b) = &slot[idx] {
-            stats.cache_hits += 1;
-            metrics.incr(Counter::CacheHits);
+        let cached = self.table.get(id).and_then(|r| r.bounds_instance.get(idx));
+        if let Some(b) = cached.and_then(Option::as_ref) {
+            hit(stats, metrics);
             return Arc::clone(b);
         }
-        stats.cache_misses += 1;
-        metrics.incr(Counter::CacheMisses);
+        miss(stats, metrics);
         let b = match &self.warm {
             Some(w) => w.bounds_instance(query, id, &snap, level, metrics),
             None => Arc::new(build_bounds_instance(query, snap.level(level))),
         };
-        self.bounds_instance[id][idx] = Some(Arc::clone(&b));
+        let slots = &mut self.table.entry(id).bounds_instance;
+        if slots.is_empty() {
+            slots.resize_with(snap.num_levels(), || None);
+        }
+        slots[idx] = Some(Arc::clone(&b));
         b
     }
 
@@ -459,13 +532,11 @@ impl DominanceCache {
         stats: &mut Stats,
         metrics: &mut QueryMetrics,
     ) -> Arc<Vec<usize>> {
-        if let Some(l) = &self.in_hull[id] {
-            stats.cache_hits += 1;
-            metrics.incr(Counter::CacheHits);
+        if let Some(l) = self.table.get(id).and_then(|r| r.in_hull.as_ref()) {
+            hit(stats, metrics);
             return Arc::clone(l);
         }
-        stats.cache_misses += 1;
-        metrics.incr(Counter::CacheMisses);
+        miss(stats, metrics);
         let obj = db.object(id);
         let hull = query.hull();
         stats.instance_comparisons += obj.len() as u64;
@@ -480,7 +551,7 @@ impl DominanceCache {
             .map(|(i, _)| i)
             .collect();
         let list = Arc::new(list);
-        self.in_hull[id] = Some(Arc::clone(&list));
+        self.table.entry(id).in_hull = Some(Arc::clone(&list));
         list
     }
 }
@@ -582,7 +653,7 @@ mod tests {
     #[test]
     fn caching_counts_cost_once() {
         let (db, q) = setup();
-        let mut cache = DominanceCache::new(db.len());
+        let mut cache = DominanceCache::new();
         let mut stats = Stats::default();
         let mut metrics = QueryMetrics::new();
         let d1 = cache.dist_q(&db, &q, 0, &mut stats, &mut metrics);
@@ -604,7 +675,7 @@ mod tests {
     #[test]
     fn derived_getters_count_nested_lookups() {
         let (db, q) = setup();
-        let mut cache = DominanceCache::new(db.len());
+        let mut cache = DominanceCache::new();
         let mut stats = Stats::default();
         let mut metrics = QueryMetrics::new();
         // agg misses, then builds dist_q (another miss).
@@ -618,7 +689,7 @@ mod tests {
     #[test]
     fn per_q_matches_direct_construction() {
         let (db, q) = setup();
-        let mut cache = DominanceCache::new(db.len());
+        let mut cache = DominanceCache::new();
         let mut stats = Stats::default();
         let mut metrics = QueryMetrics::new();
         let per_q = cache.per_q(&db, &q, 1, &mut stats, &mut metrics);
@@ -630,7 +701,7 @@ mod tests {
     #[test]
     fn agg_matches_distribution_stats() {
         let (db, q) = setup();
-        let mut cache = DominanceCache::new(db.len());
+        let mut cache = DominanceCache::new();
         let mut stats = Stats::default();
         let mut metrics = QueryMetrics::new();
         let (mn, mean, mx) = cache.agg(&db, &q, 0, &mut stats, &mut metrics);
@@ -653,7 +724,7 @@ mod tests {
             .collect();
         let db = Database::with_fanouts(objects, 4, 3);
         let q = PreparedQuery::new(UncertainObject::uniform(vec![p2(0.0, 1.0)]));
-        let mut cache = DominanceCache::new(db.len());
+        let mut cache = DominanceCache::new();
         let mut stats = Stats::default();
         let mut metrics = QueryMetrics::new();
         for id in 0..db.len() {
@@ -716,10 +787,103 @@ mod tests {
         );
     }
 
+    /// Filled entries of one record; every cache miss fills exactly one.
+    fn filled(r: &ObjectRecord) -> u64 {
+        let singles = [
+            r.dist_q.is_some(),
+            r.per_q.is_some(),
+            r.agg.is_some(),
+            r.per_q_agg.is_some(),
+            r.quanta.is_some(),
+            r.mapped.is_some(),
+            r.in_hull.is_some(),
+            r.levels.is_some(),
+        ];
+        singles.iter().filter(|&&b| b).count() as u64
+            + r.bounds_whole.iter().flatten().count() as u64
+            + r.bounds_instance.iter().flatten().count() as u64
+    }
+
+    #[test]
+    fn a_fresh_cache_allocates_nothing() {
+        let cache = DominanceCache::new();
+        assert_eq!(cache.table.slots.capacity(), 0);
+        assert_eq!(cache.table.records.capacity(), 0);
+    }
+
+    #[test]
+    fn record_table_keeps_colliding_ids_apart() {
+        let mut table = RecordTable::default();
+        // Ids sharing their low bits, inserted past several growths.
+        let ids: Vec<usize> = (0..500).map(|i| i << 20).collect();
+        for (k, &id) in ids.iter().enumerate() {
+            table.entry(id).agg = Some((k as f64, 0.0, 0.0));
+        }
+        assert_eq!(table.records.len(), ids.len());
+        assert!(2 * table.records.len() <= table.slots.len());
+        for (k, &id) in ids.iter().enumerate() {
+            assert_eq!(
+                table.get(id).and_then(|r| r.agg),
+                Some((k as f64, 0.0, 0.0))
+            );
+        }
+        assert!(table.get(1).is_none());
+    }
+
+    /// After a full query on 10k objects the cache holds exactly the ids
+    /// its getters were called for: every record carries at least one
+    /// entry, and the entries add up to the misses — the first getter
+    /// call for an id always misses — so no record exists without a
+    /// getter call and no getter call went unrecorded. That set is a
+    /// subset of the objects the traversal popped, far below `n`.
+    #[test]
+    fn full_query_caches_only_the_objects_it_touched() {
+        use crate::config::FilterConfig;
+        use crate::nnc::ProgressiveNnc;
+        use crate::ops::Operator;
+
+        let n = 10_000;
+        let objects: Vec<UncertainObject> = (0..n)
+            .map(|i| {
+                let jitter = ((i * 7919) % 13) as f64 * 0.37;
+                let x = (i % 100) as f64 * 10.0 + jitter;
+                let y = (i / 100) as f64 * 10.0 - jitter;
+                UncertainObject::uniform(vec![p2(x, y), p2(x + 3.0, y + 1.0), p2(x + 1.0, y + 4.0)])
+            })
+            .collect();
+        let db = Database::new(objects);
+        let q = PreparedQuery::new(UncertainObject::uniform(vec![
+            p2(480.0, 500.0),
+            p2(510.0, 495.0),
+            p2(500.0, 520.0),
+        ]));
+        for op in [Operator::SsSd, Operator::PSd] {
+            let mut nnc = ProgressiveNnc::new(&db, &q, op, &FilterConfig::all());
+            while nnc.next_candidate().is_some() {}
+            let table = &nnc.cache().table;
+            let mut ids: Vec<usize> = table
+                .slots
+                .iter()
+                .map(|&(id, _)| id)
+                .filter(|&id| id != EMPTY)
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), table.records.len(), "{op:?}");
+            assert!(ids.iter().all(|&id| id < n), "{op:?}");
+            assert!(table.records.iter().all(|r| filled(r) >= 1), "{op:?}");
+            let entries: u64 = table.records.iter().map(filled).sum();
+            assert_eq!(entries, nnc.stats().cache_misses, "{op:?}");
+            assert!(nnc.stats().cache_misses > 0, "{op:?}");
+            assert!(ids.len() <= nnc.objects_checked(), "{op:?}");
+            assert!(ids.len() * 20 < n, "{op:?}: {} cached of {n}", ids.len());
+        }
+    }
+
     #[test]
     fn mapped_dimensionality_is_hull_size() {
         let (db, q) = setup();
-        let mut cache = DominanceCache::new(db.len());
+        let mut cache = DominanceCache::new();
         let mut stats = Stats::default();
         let mut metrics = QueryMetrics::new();
         let m = cache.mapped(&db, &q, 0, &mut stats, &mut metrics);

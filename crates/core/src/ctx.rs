@@ -49,9 +49,12 @@ pub(crate) struct CheckScratch {
 /// (`db`, `query`), the filter configuration, and the query-local mutable
 /// state (`cache`, `stats`).
 ///
-/// A `CheckCtx` is cheap to create (the cache fills lazily) and is never
-/// shared between queries — parallel executors build one per query per
-/// worker, which is what makes inter-query parallelism safe without locks.
+/// A `CheckCtx` is cheap to create: its cache allocates nothing until a
+/// getter first runs and then holds one record per object the query
+/// touches, so construction is O(1) whatever the database size. It is
+/// never shared between queries — parallel executors build one per query
+/// per worker, which is what makes inter-query parallelism safe without
+/// locks.
 pub struct CheckCtx<'a> {
     /// The database both operands live in.
     pub db: &'a dyn SpatialIndex,
@@ -94,7 +97,7 @@ impl<'a> CheckCtx<'a> {
             db,
             query,
             cfg,
-            cache: DominanceCache::with_warm(db.len(), warm),
+            cache: DominanceCache::with_warm(warm),
             stats: Stats::default(),
             metrics: QueryMetrics::new(),
             trace: if cfg.trace {

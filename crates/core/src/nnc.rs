@@ -430,6 +430,12 @@ impl<'a> ProgressiveNnc<'a> {
         self.objects_checked
     }
 
+    /// The traversal's per-query cache, for structural tests.
+    #[cfg(test)]
+    pub(crate) fn cache(&self) -> &crate::cache::DominanceCache {
+        &self.ctx.cache
+    }
+
     /// Consumes the traversal into an [`NncResult`] with everything emitted
     /// so far.
     pub fn into_result(mut self) -> NncResult {

@@ -16,7 +16,9 @@
 //!   [`OnceLock`] slot empty builds the entry *off-lock* and publishes it
 //!   with `set`, tolerating a lost race (the first published value wins;
 //!   the loser adopts it). The query path never blocks on another
-//!   builder.
+//!   builder. A bound table is sparse: an object's per-level slot array
+//!   is created, under a short per-table mutex, the first time one of its
+//!   bounds is requested; the slots inside publish lock-free as above.
 //! * **Invalidation.** [`WarmPool::cache_for`] advances the cache to a
 //!   newer epoch through [`EpochLog::changes_since`]: entries of objects
 //!   untouched by the window are carried over (their derived state is
@@ -65,6 +67,13 @@ type Slot<T> = OnceLock<Arc<T>>;
 /// Per-level slot array of one object (sized `num_levels` on first touch).
 type LevelSlots<T> = Arc<[Slot<T>]>;
 
+/// Sparse per-object slot arrays of one bound table, keyed by object id.
+type SlotMap<T> = Mutex<BTreeMap<usize, LevelSlots<T>>>;
+
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Publishes `value` into `slot`, tolerating a lost race: the first
 /// published value wins and the loser adopts it. Returns the winning
 /// value and whether *this* call published it (the publisher owns the
@@ -80,16 +89,47 @@ fn empty_slots<T>(n: usize) -> Box<[Slot<T>]> {
     (0..n).map(|_| OnceLock::new()).collect()
 }
 
-/// Gets or installs the per-level slot array of one object.
-fn level_slots<T>(outer: &OnceLock<LevelSlots<T>>, num_levels: usize) -> LevelSlots<T> {
-    if let Some(s) = outer.get() {
-        return Arc::clone(s);
+/// Gets or installs the per-level slot array of object `id`.
+fn level_slots<T>(map: &SlotMap<T>, id: usize, num_levels: usize) -> LevelSlots<T> {
+    let mut map = lock(map);
+    let slots = map
+        .entry(id)
+        .or_insert_with(|| (0..num_levels).map(|_| OnceLock::new()).collect());
+    Arc::clone(slots)
+}
+
+fn filled<T>(slots: &[Slot<T>]) -> u64 {
+    slots.iter().filter(|s| s.get().is_some()).count() as u64
+}
+
+/// Carries the slot arrays of the ids `keep` accepts into a fresh map:
+/// their filled slots add to `bytes` (sized by `size`), the filled slots
+/// of every dropped id add to `evicted`. Also answers whether any carried
+/// slot is filled. Walks only the resident ids.
+fn carry_slots<T>(
+    from: &SlotMap<T>,
+    keep: impl Fn(usize) -> bool,
+    size: fn(&T) -> u64,
+    evicted: &mut u64,
+    bytes: &mut u64,
+) -> (BTreeMap<usize, LevelSlots<T>>, bool) {
+    let mut carried = BTreeMap::new();
+    let mut any = false;
+    for (&id, slots) in lock(from).iter() {
+        let n = filled(slots);
+        if keep(id) {
+            *bytes += slots
+                .iter()
+                .flat_map(|s| s.get())
+                .map(|v| size(v))
+                .sum::<u64>();
+            any = any || n > 0;
+            carried.insert(id, Arc::clone(slots));
+        } else {
+            *evicted += n;
+        }
     }
-    let fresh: LevelSlots<T> = (0..num_levels).map(|_| OnceLock::new()).collect();
-    match outer.set(Arc::clone(&fresh)) {
-        Ok(()) => fresh,
-        Err(_) => outer.get().map(Arc::clone).unwrap_or(fresh),
-    }
+    (carried, any)
 }
 
 // ---- approximate resident sizes (gauge accounting, not allocator truth) ----
@@ -139,32 +179,42 @@ pub struct WarmStats {
 
 /// The per-query bound tables of one warm cache, keyed by query content.
 ///
-/// `whole[id]` / `instance[id]` hold, per clamped level of the object's
-/// snapshot, the §5.1.1 optimistic/pessimistic bound distributions —
-/// exactly the values `DominanceCache::level_bounds_*` would build cold.
+/// `whole` / `instance` map each object whose bounds were requested to
+/// its per-clamped-level slots of the §5.1.1 optimistic/pessimistic bound
+/// distributions — exactly the values `DominanceCache::level_bounds_*`
+/// would build cold. Objects never asked about have no entry, so a table
+/// costs O(1) to create and grows with the work its queries do.
 pub struct QueryBounds {
     /// Exact coordinate/probability bit pattern of the owning query, used
     /// to verify fingerprint matches (collision ⇒ private table).
     key: Vec<u64>,
-    whole: Box<[OnceLock<LevelSlots<BoundPair>>]>,
-    instance: Box<[OnceLock<LevelSlots<Vec<BoundPair>>>]>,
+    whole: SlotMap<BoundPair>,
+    instance: SlotMap<Vec<BoundPair>>,
 }
 
 impl std::fmt::Debug for QueryBounds {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryBounds")
-            .field("objects", &self.whole.len())
+            .field("whole_objects", &lock(&self.whole).len())
+            .field("instance_objects", &lock(&self.instance).len())
             .finish_non_exhaustive()
     }
 }
 
 impl QueryBounds {
-    fn new(n: usize, key: Vec<u64>) -> Self {
+    fn new(key: Vec<u64>) -> Self {
         QueryBounds {
             key,
-            whole: (0..n).map(|_| OnceLock::new()).collect(),
-            instance: (0..n).map(|_| OnceLock::new()).collect(),
+            whole: Mutex::default(),
+            instance: Mutex::default(),
         }
+    }
+
+    /// Filled bound slots across every resident object.
+    fn filled(&self) -> u64 {
+        let whole: u64 = lock(&self.whole).values().map(|s| filled(s)).sum();
+        let instance: u64 = lock(&self.instance).values().map(|s| filled(s)).sum();
+        whole + instance
     }
 }
 
@@ -184,8 +234,10 @@ fn query_key(query: &PreparedQuery) -> Vec<u64> {
 /// A shared warm cache for one `(store pointer, epoch)` snapshot.
 ///
 /// See the module docs for the keying / population / invalidation
-/// protocol. All entry arrays are sized by the snapshot's logical id
-/// space (`db.len()`, tombstones included), matching `DominanceCache`.
+/// protocol. The per-snapshot entry arrays (`quanta`, `levels`, `mbrs`)
+/// are sized by the snapshot's logical id space (`db.len()`, tombstones
+/// included) and built once per snapshot; the per-query bound tables are
+/// sparse and hold only the objects whose bounds were requested.
 pub struct WarmCache {
     /// Pinned store snapshot: identity key half, ABA guard, and CoW
     /// forcing (a pinned refcount makes `Arc::make_mut` clone).
@@ -320,15 +372,14 @@ impl WarmCache {
     /// the hash.
     pub fn bounds_for(&self, query: &PreparedQuery) -> Arc<QueryBounds> {
         let key = query_key(query);
-        let n = self.quanta.len();
-        let mut map = self.bounds.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut map = lock(&self.bounds);
         if let Some(t) = map.get(&query.fingerprint()) {
             if t.key == key {
                 return Arc::clone(t);
             }
-            return Arc::new(QueryBounds::new(n, key));
+            return Arc::new(QueryBounds::new(key));
         }
-        let t = Arc::new(QueryBounds::new(n, key));
+        let t = Arc::new(QueryBounds::new(key));
         map.insert(query.fingerprint(), Arc::clone(&t));
         t
     }
@@ -336,24 +387,8 @@ impl WarmCache {
     /// Entries currently published (used to count a full-rebuild
     /// eviction).
     fn resident_entries(&self) -> u64 {
-        let mut c = 0u64;
-        c += self.quanta.iter().filter(|s| s.get().is_some()).count() as u64;
-        c += self.levels.iter().filter(|s| s.get().is_some()).count() as u64;
-        c += self.mbrs.iter().filter(|s| s.get().is_some()).count() as u64;
-        let map = self.bounds.lock().unwrap_or_else(PoisonError::into_inner);
-        for qb in map.values() {
-            for outer in qb.whole.iter() {
-                if let Some(slots) = outer.get() {
-                    c += slots.iter().filter(|s| s.get().is_some()).count() as u64;
-                }
-            }
-            for outer in qb.instance.iter() {
-                if let Some(slots) = outer.get() {
-                    c += slots.iter().filter(|s| s.get().is_some()).count() as u64;
-                }
-            }
-        }
-        c
+        let bounds: u64 = lock(&self.bounds).values().map(|qb| qb.filled()).sum();
+        filled(&self.quanta) + filled(&self.levels) + filled(&self.mbrs) + bounds
     }
 
     /// Advances `old` to `db`'s snapshot: incremental carry + targeted
@@ -375,73 +410,59 @@ impl WarmCache {
             return next;
         };
         let touched = touched_ids(&changes);
-        let is_touched = |id: usize| touched.binary_search(&id).is_ok();
         let n = next.quanta.len();
+        let keep = |id: usize| id < n && touched.binary_search(&id).is_err();
         let mut evicted = 0u64;
         let mut bytes = 0u64;
         // Carry the snapshot-pure per-object entries of untouched ids.
         for id in 0..old.quanta.len() {
-            let keep = id < n && !is_touched(id);
+            let kept = keep(id);
             if let Some(v) = old.quanta[id].get() {
-                if keep && next.quanta[id].set(Arc::clone(v)).is_ok() {
+                if kept && next.quanta[id].set(Arc::clone(v)).is_ok() {
                     bytes += quanta_bytes(v);
                 } else {
                     evicted += 1;
                 }
             }
             if let Some(v) = old.levels[id].get() {
-                if keep && next.levels[id].set(Arc::clone(v)).is_ok() {
+                if kept && next.levels[id].set(Arc::clone(v)).is_ok() {
                     bytes += snapshot_bytes(v);
                 } else {
                     evicted += 1;
                 }
             }
             if let Some(v) = old.mbrs[id].get() {
-                if keep && next.mbrs[id].set(Arc::clone(v)).is_ok() {
+                if kept && next.mbrs[id].set(Arc::clone(v)).is_ok() {
                     bytes += mbr_bytes(v);
                 } else {
                     evicted += 1;
                 }
             }
         }
-        // Carry per-query bound tables the same way: untouched objects
-        // keep their whole per-level slot array (values are bit-identical
-        // across the window), touched objects are dropped.
-        let old_map = old.bounds.lock().unwrap_or_else(PoisonError::into_inner);
+        // Carry per-query bound tables the same way, walking only their
+        // resident ids: untouched objects keep their whole per-level slot
+        // array (values are bit-identical across the window), touched
+        // objects are dropped.
         let mut new_map = BTreeMap::new();
-        for (fp, qb) in old_map.iter() {
-            let carried = QueryBounds::new(n, qb.key.clone());
-            let mut any = false;
-            for id in 0..qb.whole.len() {
-                let keep = id < n && !is_touched(id);
-                if let Some(slots) = qb.whole[id].get() {
-                    let filled = slots.iter().filter(|s| s.get().is_some()).count() as u64;
-                    if keep && carried.whole[id].set(Arc::clone(slots)).is_ok() {
-                        for s in slots.iter().flat_map(|s| s.get()) {
-                            bytes += bound_pair_bytes(s);
-                        }
-                        any = any || filled > 0;
-                    } else {
-                        evicted += filled;
-                    }
-                }
-                if let Some(slots) = qb.instance[id].get() {
-                    let filled = slots.iter().filter(|s| s.get().is_some()).count() as u64;
-                    if keep && carried.instance[id].set(Arc::clone(slots)).is_ok() {
-                        for s in slots.iter().flat_map(|s| s.get()) {
-                            bytes += bound_vec_bytes(s);
-                        }
-                        any = any || filled > 0;
-                    } else {
-                        evicted += filled;
-                    }
-                }
-            }
-            if any {
+        for (fp, qb) in lock(&old.bounds).iter() {
+            let (whole, any_whole) =
+                carry_slots(&qb.whole, keep, bound_pair_bytes, &mut evicted, &mut bytes);
+            let (instance, any_instance) = carry_slots(
+                &qb.instance,
+                keep,
+                |v| bound_vec_bytes(v),
+                &mut evicted,
+                &mut bytes,
+            );
+            if any_whole || any_instance {
+                let carried = QueryBounds {
+                    key: qb.key.clone(),
+                    whole: Mutex::new(whole),
+                    instance: Mutex::new(instance),
+                };
                 new_map.insert(*fp, Arc::new(carried));
             }
         }
-        drop(old_map);
         next.evictions = old.evictions + evicted;
         next.resident_bytes = AtomicU64::new(bytes);
         next.bounds = Mutex::new(new_map);
@@ -533,7 +554,7 @@ impl WarmView {
         level: usize,
         metrics: &mut QueryMetrics,
     ) -> Arc<BoundPair> {
-        let slots = level_slots(&self.bounds.whole[id], snap.num_levels());
+        let slots = level_slots(&self.bounds.whole, id, snap.num_levels());
         let idx = snap.clamped(level);
         if let Some(b) = slots[idx].get() {
             let v = Arc::clone(b);
@@ -558,7 +579,7 @@ impl WarmView {
         level: usize,
         metrics: &mut QueryMetrics,
     ) -> Arc<Vec<BoundPair>> {
-        let slots = level_slots(&self.bounds.instance[id], snap.num_levels());
+        let slots = level_slots(&self.bounds.instance, id, snap.num_levels());
         let idx = snap.clamped(level);
         if let Some(b) = slots[idx].get() {
             let v = Arc::clone(b);
@@ -597,7 +618,7 @@ impl WarmPool {
     /// The cache keyed to `db`'s current snapshot, advancing (or
     /// rebuilding — see the module docs' fallback rules) as needed.
     pub fn cache_for(&self, db: &dyn SpatialIndex) -> Arc<WarmCache> {
-        let mut cur = self.current.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut cur = lock(&self.current);
         if let Some(c) = cur.as_ref() {
             if c.matches(db) {
                 return Arc::clone(c);
@@ -618,7 +639,7 @@ impl WarmPool {
 
     /// Cumulative pool counters (zero if no query has warmed the pool).
     pub fn stats(&self) -> WarmStats {
-        let cur = self.current.lock().unwrap_or_else(PoisonError::into_inner);
+        let cur = lock(&self.current);
         cur.as_ref().map(|c| c.stats()).unwrap_or_default()
     }
 }
@@ -626,6 +647,8 @@ impl WarmPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::DominanceCache;
+    use crate::config::Stats;
     use crate::db::Database;
     use crate::publish::PublishedIndex;
     use osd_geom::Point;
@@ -696,6 +719,79 @@ mod tests {
         let q1b = v1.quanta(snap1.as_ref(), 1, &mut metrics);
         assert!(!Arc::ptr_eq(&q1, &q1b), "touched object rebuilt");
         assert!(pool.stats().evictions >= 1);
+    }
+
+    /// Resident ids of one bound map.
+    fn resident<T>(map: &SlotMap<T>) -> Vec<usize> {
+        lock(map).keys().copied().collect()
+    }
+
+    /// Requests the level-1 whole-`U_Q` and per-`U_q` bounds of `id`
+    /// through a warm-backed `DominanceCache`.
+    fn request_bounds(db: &dyn SpatialIndex, q: &PreparedQuery, view: &WarmView, id: usize) {
+        let mut cache = DominanceCache::with_warm(Some(view.clone()));
+        let mut stats = Stats::default();
+        let mut metrics = QueryMetrics::new();
+        let _ = cache.level_bounds_whole(db, q, id, 1, &mut stats, &mut metrics);
+        let _ = cache.level_bounds_instance(db, q, id, 1, &mut stats, &mut metrics);
+    }
+
+    #[test]
+    fn bound_table_stays_empty_until_a_bound_is_requested() {
+        let db = Database::new((0..50).map(|i| obj(i as f64 * 3.0)).collect());
+        let pool = WarmPool::new();
+        let q = query();
+        let view = pool.view_for(&db, &q);
+        assert!(resident(&view.bounds.whole).is_empty());
+        assert!(resident(&view.bounds.instance).is_empty());
+        // Snapshot-pure entries do not populate the bound table either.
+        let _ = view.quanta(&db, 7, &mut QueryMetrics::new());
+        assert!(resident(&view.bounds.whole).is_empty());
+        request_bounds(&db, &q, &view, 7);
+        assert_eq!(resident(&view.bounds.whole), vec![7]);
+        assert_eq!(resident(&view.bounds.instance), vec![7]);
+        assert_eq!(view.bounds.filled(), 2);
+    }
+
+    /// An advance over a covered window carries exactly the resident,
+    /// untouched ids of each bound table and counts every filled entry of
+    /// the touched ones (snapshot-pure and bound slots alike) as evicted.
+    #[test]
+    fn advance_carries_untouched_resident_ids_and_evicts_touched_ones() {
+        let idx = PublishedIndex::new(Database::new(
+            (0..40).map(|i| obj(i as f64 * 3.0)).collect(),
+        ));
+        let pool = WarmPool::new();
+        let q = query();
+        let snap0 = idx.pin();
+        let view0 = pool.view_for(snap0.as_ref(), &q);
+        let resident_ids = [3usize, 9, 17, 25];
+        for &id in &resident_ids {
+            request_bounds(snap0.as_ref(), &q, &view0, id);
+        }
+        // Each resident id holds quanta + snapshot + 2 bound slots.
+        let per_id = 4u64;
+        assert_eq!(
+            view0.cache().resident_entries(),
+            per_id * resident_ids.len() as u64
+        );
+        let before = pool.stats().evictions;
+
+        idx.update(9, obj(200.0)).expect("update");
+        idx.delete(25).expect("delete");
+        idx.delete(30).expect("delete of a never-cached id");
+        let snap1 = idx.pin();
+        let cache1 = pool.cache_for(snap1.as_ref());
+        assert!(!Arc::ptr_eq(view0.cache(), &cache1));
+
+        let map = lock(&cache1.bounds);
+        let carried = map.get(&q.fingerprint()).expect("bound table carried");
+        assert_eq!(resident(&carried.whole), vec![3, 17]);
+        assert_eq!(resident(&carried.instance), vec![3, 17]);
+        assert_eq!(carried.filled(), 4);
+        drop(map);
+        assert_eq!(pool.stats().evictions - before, 2 * per_id);
+        assert_eq!(cache1.resident_entries(), 2 * per_id);
     }
 
     #[test]

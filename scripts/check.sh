@@ -28,6 +28,11 @@ done
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== perfbench tests (the benchmark harness's own checks) =="
+# perfbench is a standalone crate outside the workspace, so the
+# workspace test run above never reaches it.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test --features strict-invariants =="
 cargo test -q --features strict-invariants
 cargo test -q -p osd-core --features strict-invariants
