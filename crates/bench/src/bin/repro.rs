@@ -150,8 +150,7 @@ fn main() {
                 (None, true) => None,
             };
             let ns: Vec<usize> = if n_explicit { vec![scale.n] } else { vec![] };
-            let threads = if threads > 1 { threads } else { shards };
-            osd_bench::scale::scale(&ns, shards, threads, smoke, json);
+            osd_bench::scale::scale(&ns, shards, smoke, json);
         }
         "mutate" => {
             // Like kernels/scale: smoke runs are assertion-only and never

@@ -7,13 +7,10 @@
 //! 1. **build time** — flat vs sharded bulk load;
 //! 2. **memory per shard** — the [`osd_core::IndexStats`] breakdown
 //!    (objects, instances, tree nodes, approximate bytes per STR tile);
-//! 3. **query throughput and node visits** — the merged-forest traversal
-//!    (all shard roots in one heap, one shared prune bound) against
-//!    scatter-gather (one independent descent per shard, fanned over
-//!    worker threads). Candidates are validated bit-identical across the
-//!    flat, merged and scatter paths; the *cost* difference is the point:
-//!    the shared bound prunes nodes that the independent per-shard
-//!    descents must expand.
+//! 3. **query throughput and node visits** — the flat traversal against
+//!    the merged-forest traversal (all shard roots in one heap, one
+//!    shared prune bound). Candidates are validated identical across the
+//!    flat and merged paths.
 //!
 //! The full run (`n = 100k` and `1M`) writes `BENCH_scale.json`; `--smoke`
 //! runs a small assertion-only point for CI and never touches the artifact.
@@ -22,8 +19,7 @@ use crate::datasets::{build_objects, build_queries, DatasetId};
 use crate::params::Scale;
 use crate::throughput::host_cpus;
 use osd_core::{
-    nn_candidates, nn_candidates_scatter, FilterConfig, IndexStats, Operator, PreparedQuery,
-    ShardedDatabase, SpatialIndex,
+    nn_candidates, FilterConfig, IndexStats, Operator, PreparedQuery, ShardedDatabase, SpatialIndex,
 };
 use std::time::Instant;
 
@@ -42,12 +38,8 @@ pub struct ScalePoint {
     pub qps_flat: f64,
     /// Queries per second: sharded merged-forest traversal.
     pub qps_merged: f64,
-    /// Queries per second: sharded scatter-gather.
-    pub qps_scatter: f64,
     /// Total R-tree nodes visited across the workload, merged traversal.
     pub visits_merged: u64,
-    /// Total R-tree nodes visited across the workload, scatter-gather.
-    pub visits_scatter: u64,
 }
 
 /// A full `repro scale` run.
@@ -63,8 +55,6 @@ pub struct ScaleReport {
     pub queries: usize,
     /// STR tiles per sharded index.
     pub shards: usize,
-    /// Worker threads handed to the scatter path.
-    pub threads: usize,
     /// Logical CPUs the host reports.
     pub host_cpus: usize,
     /// One point per object count.
@@ -82,7 +72,6 @@ impl ScaleReport {
         out.push_str(&format!("  \"m_d\": {},\n", self.m_d));
         out.push_str(&format!("  \"queries\": {},\n", self.queries));
         out.push_str(&format!("  \"shards\": {},\n", self.shards));
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
         out.push_str(&format!("  \"host_cpus\": {},\n", self.host_cpus));
         out.push_str("  \"points\": [\n");
         for (i, p) in self.points.iter().enumerate() {
@@ -93,12 +82,12 @@ impl ScaleReport {
                 p.build_flat_s, p.build_sharded_s
             ));
             out.push_str(&format!(
-                "      \"qps\": {{ \"flat\": {:.3}, \"merged\": {:.3}, \"scatter\": {:.3} }},\n",
-                p.qps_flat, p.qps_merged, p.qps_scatter
+                "      \"qps\": {{ \"flat\": {:.3}, \"merged\": {:.3} }},\n",
+                p.qps_flat, p.qps_merged
             ));
             out.push_str(&format!(
-                "      \"node_visits\": {{ \"merged\": {}, \"scatter\": {} }},\n",
-                p.visits_merged, p.visits_scatter
+                "      \"node_visits\": {{ \"merged\": {} }},\n",
+                p.visits_merged
             ));
             out.push_str("      \"per_shard\": [\n");
             for (j, s) in p.stats.shards.iter().enumerate() {
@@ -126,13 +115,13 @@ impl ScaleReport {
 }
 
 /// Measures one scalability point: builds the USA surrogate at `n`
-/// objects, indexes it flat and sharded, runs the workload through the
-/// three execution paths and cross-validates their candidate ids.
+/// objects, indexes it flat and sharded, runs the workload through both
+/// and cross-validates their candidate ids.
 ///
 /// # Panics
 /// Panics if any path's candidate ids diverge from the flat baseline —
 /// that would be a sharding correctness bug, not a measurement artefact.
-pub fn measure_point(scale: &Scale, shards: usize, threads: usize, op: Operator) -> ScalePoint {
+pub fn measure_point(scale: &Scale, shards: usize, op: Operator) -> ScalePoint {
     let objects = build_objects(DatasetId::Usa, scale);
     let queries = build_queries(&objects, DatasetId::Usa, scale);
     let cfg = FilterConfig::all();
@@ -153,17 +142,9 @@ pub fn measure_point(scale: &Scale, shards: usize, threads: usize, op: Operator)
         let r = nn_candidates(&sharded, q, op, &cfg);
         (r.ids(), r.stats.rtree_nodes_visited)
     });
-    let (scatter_ids, visits_scatter, qps_scatter) = run_workload(&queries, |q| {
-        let r = nn_candidates_scatter(&sharded, q, op, &cfg, threads);
-        (r.ids(), r.stats.rtree_nodes_visited)
-    });
     assert_eq!(
         merged_ids, flat_ids,
         "merged traversal diverged from the flat baseline"
-    );
-    assert_eq!(
-        scatter_ids, flat_ids,
-        "scatter-gather diverged from the flat baseline"
     );
 
     ScalePoint {
@@ -173,9 +154,7 @@ pub fn measure_point(scale: &Scale, shards: usize, threads: usize, op: Operator)
         stats: sharded.index_stats(),
         qps_flat,
         qps_merged,
-        qps_scatter,
         visits_merged,
-        visits_scatter,
     }
 }
 
@@ -220,7 +199,7 @@ fn scale_for(n: usize, seed_salt: u64) -> Scale {
 /// Runs the scalability benchmark and prints the table; writes the JSON
 /// artifact when `json_path` is given. `smoke` shrinks the run to one
 /// assertion-heavy CI-sized point.
-pub fn scale(ns: &[usize], shards: usize, threads: usize, smoke: bool, json_path: Option<&str>) {
+pub fn scale(ns: &[usize], shards: usize, smoke: bool, json_path: Option<&str>) {
     let op = Operator::SSd;
     let ns: Vec<usize> = if ns.is_empty() {
         if smoke {
@@ -231,52 +210,28 @@ pub fn scale(ns: &[usize], shards: usize, threads: usize, smoke: bool, json_path
     } else {
         ns.to_vec()
     };
-    let threads = threads.max(1);
     let mut points = Vec::with_capacity(ns.len());
     println!(
-        "\n== Scale: {} on USA ({} shards, {} scatter threads, host_cpus={}) ==",
+        "\n== Scale: {} on USA ({} shards, host_cpus={}) ==",
         op.label(),
         shards,
-        threads,
         host_cpus()
     );
     println!(
-        "{:>9} {:>11} {:>13} {:>9} {:>9} {:>10} {:>13} {:>14}",
-        "n",
-        "build_flat",
-        "build_sharded",
-        "qps_flat",
-        "qps_mrgd",
-        "qps_scat",
-        "visits_mrgd",
-        "visits_scat"
+        "{:>9} {:>11} {:>13} {:>9} {:>9} {:>13}",
+        "n", "build_flat", "build_sharded", "qps_flat", "qps_mrgd", "visits_mrgd"
     );
     for &n in &ns {
         let sc = scale_for(n, shards as u64);
-        let p = measure_point(&sc, shards, threads, op);
+        let p = measure_point(&sc, shards, op);
         if smoke {
-            // The shared prune bound must never expand more nodes than the
-            // independent per-shard descents it replaces.
-            assert!(
-                p.visits_merged <= p.visits_scatter,
-                "merged traversal visited {} nodes, scatter only {}",
-                p.visits_merged,
-                p.visits_scatter
-            );
             // STR tile packing may overshoot the requested count slightly;
             // it never undershoots (one tile per requested part minimum).
             assert!(p.stats.shards.len() >= shards.min(n));
         }
         println!(
-            "{:>9} {:>10.3}s {:>12.3}s {:>9.1} {:>9.1} {:>10.1} {:>13} {:>14}",
-            p.n,
-            p.build_flat_s,
-            p.build_sharded_s,
-            p.qps_flat,
-            p.qps_merged,
-            p.qps_scatter,
-            p.visits_merged,
-            p.visits_scatter
+            "{:>9} {:>10.3}s {:>12.3}s {:>9.1} {:>9.1} {:>13}",
+            p.n, p.build_flat_s, p.build_sharded_s, p.qps_flat, p.qps_merged, p.visits_merged
         );
         points.push(p);
     }
@@ -286,7 +241,6 @@ pub fn scale(ns: &[usize], shards: usize, threads: usize, smoke: bool, json_path
         m_d: 4,
         queries: 5,
         shards,
-        threads,
         host_cpus: host_cpus(),
         points,
     };
@@ -305,12 +259,11 @@ mod tests {
     #[test]
     fn point_validates_and_reports_shards() {
         let sc = scale_for(300, 4);
-        let p = measure_point(&sc, 4, 2, Operator::SSd);
+        let p = measure_point(&sc, 4, Operator::SSd);
         assert_eq!(p.n, 300);
         assert!(p.stats.shards.len() >= 4);
         assert_eq!(p.stats.objects, 300);
-        assert!(p.visits_merged <= p.visits_scatter);
-        assert!(p.qps_flat > 0.0 && p.qps_merged > 0.0 && p.qps_scatter > 0.0);
+        assert!(p.qps_flat > 0.0 && p.qps_merged > 0.0);
         let total: usize = p.stats.shards.iter().map(|s| s.objects).sum();
         assert_eq!(total, 300);
     }
@@ -318,14 +271,13 @@ mod tests {
     #[test]
     fn json_is_balanced_and_carries_metadata() {
         let sc = scale_for(120, 2);
-        let p = measure_point(&sc, 2, 1, Operator::SSd);
+        let p = measure_point(&sc, 2, Operator::SSd);
         let report = ScaleReport {
             dataset: "USA",
             op: "S-SD",
             m_d: 4,
             queries: 5,
             shards: 2,
-            threads: 1,
             host_cpus: host_cpus(),
             points: vec![p],
         };

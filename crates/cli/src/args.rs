@@ -110,6 +110,37 @@ impl Flags {
         Flags { args }
     }
 
+    /// Rejects every flag the subcommand does not know. `known` lists the
+    /// subcommand's flag names and `valued` the subset that takes a value:
+    /// the word after a valued flag is its value and is never inspected.
+    /// The `--name=value` spelling is accepted only for the flags that
+    /// parse it themselves ([`Self::profile`], [`Self::trace`],
+    /// [`Self::warm`]). Words not starting with `-` are positional and
+    /// left to the subcommand.
+    ///
+    /// # Errors
+    /// Returns [`CliError::BadArgument`] naming the first unknown flag.
+    pub fn check(&self, known: &[&str], valued: &[&str]) -> Result<(), CliError> {
+        const EQ_FLAGS: [&str; 3] = ["--profile", "--trace", "--warm"];
+        let mut words = self.args.iter();
+        while let Some(word) = words.next() {
+            if !word.starts_with('-') {
+                continue;
+            }
+            let name = match word.split_once('=') {
+                Some((name, _)) if EQ_FLAGS.contains(&name) => name,
+                _ => word.as_str(),
+            };
+            if !known.contains(&name) {
+                return Err(CliError::BadArgument(format!("unknown flag {word:?}")));
+            }
+            if valued.contains(&name) {
+                words.next();
+            }
+        }
+        Ok(())
+    }
+
     /// The value following `--name`, if present.
     pub fn value(&self, name: &str) -> Option<&str> {
         self.args
@@ -268,6 +299,40 @@ mod tests {
         assert_eq!(f.parsed_or("--missing", 7usize).unwrap(), 7);
         assert!(f.required("--data").is_ok());
         assert!(f.required("--query").is_err());
+    }
+
+    #[test]
+    fn check_rejects_unknown_flags() {
+        let known = ["--data", "--k", "--progressive", "--trace"];
+        let valued = ["--data", "--k"];
+        let ok = Flags::new(
+            [
+                "--data",
+                "-odd-name.csv",
+                "--k",
+                "3",
+                "--progressive",
+                "--trace=chrome",
+            ]
+            .map(String::from)
+            .to_vec(),
+        );
+        ok.check(&known, &valued).unwrap();
+        for bad in [
+            &["--bogus-flag", "3"][..],
+            &["--data", "x.csv", "--unheard-of"],
+            &["--data=x.csv"],
+            &["--progressive=yes"],
+            &["-k", "3"],
+        ] {
+            let f = Flags::new(bad.iter().map(|s| s.to_string()).collect());
+            let err = f.check(&known, &valued).unwrap_err();
+            assert!(matches!(err, CliError::BadArgument(_)), "{err}");
+        }
+        let err = Flags::new(vec!["--bogus-flag".into(), "3".into()])
+            .check(&known, &valued)
+            .unwrap_err();
+        assert!(err.to_string().contains("--bogus-flag"), "{err}");
     }
 
     #[test]

@@ -3,9 +3,9 @@
 use crate::args::{parse_operator, parse_query_spec, CliError, Flags, ProfileFormat, TraceFormat};
 use osd_core::{
     batch_metrics, batch_stats, dominance_matrix, dominators_of_with, k_nn_candidates,
-    k_nn_candidates_scatter, nn_candidates, nn_candidates_scatter, ContinuousNnc, Database,
-    DbError, FilterConfig, FlightRecorder, PreparedQuery, ProgressiveNnc, PublishedIndex,
-    QueryEngine, QueryMetrics, Repair, ShardedDatabase, SpatialIndex, Stats, TraceData, WarmPool,
+    nn_candidates, ContinuousNnc, Database, DbError, FilterConfig, FlightRecorder, PreparedQuery,
+    ProgressiveNnc, PublishedIndex, QueryEngine, QueryMetrics, Repair, ShardedDatabase,
+    SpatialIndex, Stats, TraceData, WarmPool,
 };
 use osd_datagen::{
     generate_objects, gowalla_like, nba_like, read_objects_csv, write_objects_csv,
@@ -238,6 +238,8 @@ fn read_ops_file(path: &Path, dim: usize) -> Result<Vec<MutOp>, CliError> {
 /// ops script. Individual ops that fail (dead id, dimension mismatch)
 /// are reported and skipped — they publish nothing.
 pub fn cmd_mutate(flags: &Flags) -> Result<(), CliError> {
+    let valued = ["--data", "--ops", "--shards", "--out"];
+    flags.check(&valued, &valued)?;
     let data = flags.required("--data")?;
     let ops_file = flags.required("--ops")?;
     let shards: usize = flags.parsed_or("--shards", 1)?;
@@ -308,6 +310,8 @@ pub fn cmd_mutate(flags: &Flags) -> Result<(), CliError> {
 /// Returns a [`CliError`] on bad flags, unreadable data or a malformed
 /// ops script.
 pub fn cmd_watch(flags: &Flags) -> Result<(), CliError> {
+    let valued = ["--data", "--ops", "--query", "--op", "--shards"];
+    flags.check(&valued, &valued)?;
     let data = flags.required("--data")?;
     let ops_file = flags.required("--ops")?;
     let query = parse_query_spec(flags.required("--query")?)?;
@@ -383,8 +387,8 @@ pub fn cmd_watch(flags: &Flags) -> Result<(), CliError> {
 /// query (`--query "x,y;…"`) or of a whole batch (`--queries FILE`, one
 /// spec per line, spread over `--threads N` worker threads). `--shards N`
 /// space-partitions the store into N STR tiles (results are bit-identical
-/// to the flat index); `--scatter` switches the single-query path from the
-/// merged-forest traversal to per-shard scatter-gather over `--threads`.
+/// to the flat index). `--k K` asks for the K-robust candidates, also
+/// with `--progressive`, which streams them as they are found.
 ///
 /// Batch mode runs warm by default — one snapshot-scoped cache shared by
 /// all queries — and dispatches in Morton order for locality; results are
@@ -395,6 +399,25 @@ pub fn cmd_watch(flags: &Flags) -> Result<(), CliError> {
 /// # Errors
 /// Returns a [`CliError`] on bad flags or unreadable data.
 pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
+    let valued = [
+        "--data",
+        "--query",
+        "--queries",
+        "--op",
+        "--k",
+        "--threads",
+        "--shards",
+        "--recorder",
+        "--slow-ms",
+    ];
+    let switches = [
+        "--progressive",
+        "--warm",
+        "--no-reorder",
+        "--profile",
+        "--trace",
+    ];
+    flags.check(&[&valued[..], &switches[..]].concat(), &valued)?;
     let data = flags.required("--data")?;
     let op = parse_operator(flags.value("--op").unwrap_or("psd"))?;
     let k: usize = flags.parsed_or("--k", 1)?;
@@ -406,16 +429,10 @@ pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
     let threads: usize = flags.parsed_or("--threads", 1)?;
     let shards: usize = flags.parsed_or("--shards", 1)?;
     let progressive = flags.has("--progressive");
-    let scatter = flags.has("--scatter");
     let warm = flags.warm()?;
     let reorder = !flags.has("--no-reorder");
     let profile = flags.profile()?;
     let trace_fmt = flags.trace()?;
-    if progressive && scatter {
-        return Err(CliError::BadArgument(
-            "--progressive and --scatter are mutually exclusive".into(),
-        ));
-    }
     // Tracing is pure observability: candidates and counters are
     // bit-identical with or without it.
     let cfg = if trace_fmt.is_some() {
@@ -487,10 +504,20 @@ pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
     let pq = PreparedQuery::new(query);
 
     if progressive {
-        println!("{:>8} {:>12} {:>12}", "object", "min-dist", "elapsed");
-        let mut stream = ProgressiveNnc::new(&*db, &pq, op, &cfg);
-        while let Some(c) = stream.next_candidate() {
-            println!("{:>8} {:>12.3} {:>10.2?}", c.id, c.min_dist, c.elapsed);
+        // `--k K` streams the K-robust set, with each candidate's
+        // dominator count as an extra column.
+        let extra = if k > 1 { " dominators" } else { "" };
+        println!(
+            "{:>8} {:>12} {:>12}{extra}",
+            "object", "min-dist", "elapsed"
+        );
+        let mut stream = ProgressiveNnc::with_k(&*db, &pq, op, k, &cfg, None);
+        while let Some((c, dominators)) = stream.next_with_dominators() {
+            print!("{:>8} {:>12.3} {:>10.2?}", c.id, c.min_dist, c.elapsed);
+            if k > 1 {
+                print!(" {dominators:>10}");
+            }
+            println!();
         }
         let res = stream.into_result();
         if let Some(fmt) = profile {
@@ -503,11 +530,7 @@ pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
         return Ok(());
     }
     if k > 1 {
-        let res = if scatter {
-            k_nn_candidates_scatter(&*db, &pq, op, k, &cfg, threads)
-        } else {
-            k_nn_candidates(&*db, &pq, op, k, &cfg)
-        };
+        let res = k_nn_candidates(&*db, &pq, op, k, &cfg);
         println!(
             "{} {}-robust candidates under {}:",
             res.candidates.len(),
@@ -528,11 +551,7 @@ pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
             emit_traces(fmt, &traces, flags)?;
         }
     } else {
-        let res = if scatter {
-            nn_candidates_scatter(&*db, &pq, op, &cfg, threads)
-        } else {
-            nn_candidates(&*db, &pq, op, &cfg)
-        };
+        let res = nn_candidates(&*db, &pq, op, &cfg);
         println!("{} candidates under {}:", res.candidates.len(), op.label());
         for c in &res.candidates {
             println!("  object {:>6}  min-dist {:>10.3}", c.id, c.min_dist);
@@ -558,6 +577,7 @@ pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
 /// Returns a [`CliError`] on an unknown mode, a malformed count or an
 /// unreadable/corrupt recorder file.
 pub fn cmd_trace(flags: &Flags) -> Result<(), CliError> {
+    flags.check(&["--recorder", "--trace"], &["--recorder"])?;
     let words: Vec<&str> = flags
         .raw()
         .iter()
@@ -673,6 +693,8 @@ const MATRIX_CAP: usize = 64;
 /// # Errors
 /// Returns a [`CliError`] on bad flags or unreadable data.
 pub fn cmd_explain(flags: &Flags) -> Result<(), CliError> {
+    let valued = ["--data", "--query", "--op", "--shards", "--object"];
+    flags.check(&[&valued[..], &["--matrix"]].concat(), &valued)?;
     let data = flags.required("--data")?;
     let query = parse_query_spec(flags.required("--query")?)?;
     let op = parse_operator(flags.value("--op").unwrap_or("psd"))?;
@@ -765,6 +787,8 @@ pub fn cmd_explain(flags: &Flags) -> Result<(), CliError> {
 /// # Errors
 /// Returns a [`CliError`] on bad flags or unreadable data.
 pub fn cmd_score(flags: &Flags) -> Result<(), CliError> {
+    let valued = ["--data", "--query", "--object"];
+    flags.check(&valued, &valued)?;
     let data = flags.required("--data")?;
     let query = parse_query_spec(flags.required("--query")?)?;
     let id: usize = flags
@@ -798,6 +822,16 @@ pub fn cmd_score(flags: &Flags) -> Result<(), CliError> {
 /// # Errors
 /// Returns a [`CliError`] on bad flags or write failures.
 pub fn cmd_gen(flags: &Flags) -> Result<(), CliError> {
+    let valued = [
+        "--out",
+        "--dataset",
+        "--n",
+        "--m",
+        "--dim",
+        "--edge",
+        "--seed",
+    ];
+    flags.check(&valued, &valued)?;
     let out = flags.required("--out")?;
     let kind = flags.value("--dataset").unwrap_or("anti");
     let n: usize = flags.parsed_or("--n", 1000)?;
@@ -867,7 +901,7 @@ USAGE:
   osd gen   --out data.csv [--dataset anti|indep|gw|nba] [--n N] [--m M]
             [--dim D] [--edge H] [--seed S]
   osd query --data data.csv --query \"x,y;x,y;…\" [--op ssd|sssd|psd|fsd|f+sd]
-            [--k K] [--progressive] [--shards N] [--scatter] [--threads N]
+            [--k K] [--progressive] [--shards N]
             [--profile[=json|prom]] [--trace[=text|chrome]]
             [--recorder FILE] [--slow-ms MS]
   osd query --data data.csv --queries queries.txt [--op …] [--threads N]
@@ -888,9 +922,10 @@ USAGE:
              after every published epoch)
 
 `--shards N` space-partitions the store into N STR tiles, each with its own
-global R-tree; candidates are bit-identical to the flat index. `--scatter`
-runs one independent descent per shard (fanned over --threads) instead of
-the merged shared-bound traversal.
+global R-tree, and one best-first descent searches them all with a shared
+prune bound; candidates are bit-identical to the flat index.
+
+Every subcommand rejects flags it does not know.
 
 Batch mode (`--queries`) runs warm by default: one snapshot-scoped cache is
 shared by every query, and queries are dispatched in Morton (locality)
@@ -1237,6 +1272,18 @@ mod tests {
     }
 
     #[test]
+    fn every_subcommand_rejects_unknown_flags() {
+        let bogus = ["--bogus-flag", "3"];
+        for sub in [
+            "query", "explain", "score", "gen", "mutate", "watch", "trace",
+        ] {
+            let err = run(sub, &flags(&bogus)).unwrap_err();
+            assert!(matches!(err, CliError::BadArgument(_)), "{sub}: {err}");
+            assert!(err.to_string().contains("--bogus-flag"), "{sub}: {err}");
+        }
+    }
+
+    #[test]
     fn sharded_query_paths_run() {
         let out = tmp("shards.csv");
         cmd_gen(&flags(&[
@@ -1258,14 +1305,11 @@ mod tests {
             v.extend_from_slice(extra);
             flags(&v)
         };
-        // Merged traversal, scatter-gather, k-robust scatter, progressive.
+        // Merged traversal: plain, k-robust, progressive.
         cmd_query(&with(&[])).unwrap();
-        cmd_query(&with(&["--scatter", "--threads", "3"])).unwrap();
-        cmd_query(&with(&["--scatter", "--k", "2"])).unwrap();
+        cmd_query(&with(&["--k", "2"])).unwrap();
         cmd_query(&with(&["--progressive"])).unwrap();
-        // --progressive and --scatter together is an error.
-        let err = cmd_query(&with(&["--progressive", "--scatter"])).unwrap_err();
-        assert!(err.to_string().contains("mutually exclusive"));
+        cmd_query(&with(&["--progressive", "--k", "3"])).unwrap();
         // Batch mode and explain accept --shards too.
         let qfile = tmp("shards-queries.txt");
         std::fs::write(&qfile, "5000,5000\n2000,8000\n").unwrap();

@@ -33,3 +33,27 @@ pub fn nn_candidates_bruteforce(
     }
     (out, ctx.stats)
 }
+
+/// Brute-force oracle for the k-robust candidates: objects dominated by
+/// fewer than `k` others, in ascending id order.
+///
+/// # Panics
+/// Panics if `k == 0`.
+pub fn k_nn_candidates_bruteforce(
+    db: &dyn SpatialIndex,
+    query: &PreparedQuery,
+    op: Operator,
+    k: usize,
+    cfg: &FilterConfig,
+) -> Vec<usize> {
+    assert!(k >= 1, "k must be at least 1");
+    let mut ctx = CheckCtx::new(db, query, *cfg);
+    (0..db.len())
+        .filter(|&v| {
+            let dominators = (0..db.len())
+                .filter(|&u| u != v && ctx.dominates(op, u, v))
+                .count();
+            dominators < k
+        })
+        .collect()
+}

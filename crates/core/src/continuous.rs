@@ -8,8 +8,8 @@
 //!
 //! The full query is equivalent to filtering all live objects in
 //! `(δ_min, id)` order, keeping each object iff no kept predecessor
-//! dominates it (the gather pass of
-//! [`nn_candidates_scatter`](crate::nn_candidates_scatter) is literally
+//! dominates it (the object decision of the one best-first traversal,
+//! [`ProgressiveNnc`](crate::ProgressiveNnc) at `k = 1`, is literally
 //! this filter). The repair reproduces that filter incrementally:
 //!
 //! * **Deleting a non-candidate changes nothing.** A non-candidate `v` is
@@ -242,6 +242,7 @@ impl ContinuousNnc {
                 &w_mbr,
                 self.query.mbr(),
                 self.op,
+                1,
                 self.cfg.mbr_validation,
                 &mut ctx.stats,
             ) {

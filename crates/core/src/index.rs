@@ -265,94 +265,6 @@ pub(crate) fn shard_stats_of(index: &dyn SpatialIndex, tree: &RTree<usize>) -> S
     }
 }
 
-/// A single shard of a sharded index, viewed *as* a [`SpatialIndex`] — the
-/// adapter behind the scatter execution path: each worker runs the full
-/// sequential search against one `ShardSlice` and the union is merged.
-///
-/// The slice deliberately reports the **whole** index's `len()` and serves
-/// every object id: ids stay logical (per-query caches size to the full
-/// database and shard-local results speak the global id space, so the
-/// gather step can merge them without translation). Only the *global-tree
-/// view* is narrowed — `shard_count()` is 1 and `shard_tree(0)` is the
-/// base's tree for this shard, so a search over the slice visits exactly
-/// this shard's objects.
-#[derive(Clone, Copy)]
-pub struct ShardSlice<'a> {
-    base: &'a dyn SpatialIndex,
-    shard: usize,
-}
-
-impl<'a> ShardSlice<'a> {
-    /// Views shard `shard` of `base` as a one-shard index.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn new(base: &'a dyn SpatialIndex, shard: usize) -> Self {
-        assert!(
-            shard < base.shard_count(),
-            "shard {shard} out of range (index has {})",
-            base.shard_count()
-        );
-        ShardSlice { base, shard }
-    }
-}
-
-impl SpatialIndex for ShardSlice<'_> {
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn epoch(&self) -> u64 {
-        self.base.epoch()
-    }
-
-    fn live_len(&self) -> usize {
-        self.base.live_len()
-    }
-
-    fn is_live(&self, id: usize) -> bool {
-        self.base.is_live(id)
-    }
-
-    fn changes_since(&self, since: u64) -> Option<Vec<Change>> {
-        self.base.changes_since(since)
-    }
-
-    fn dim(&self) -> usize {
-        self.base.dim()
-    }
-
-    fn store(&self) -> &Arc<InstanceStore> {
-        self.base.store()
-    }
-
-    fn object(&self, id: usize) -> ObjectRef<'_> {
-        self.base.object(id)
-    }
-
-    fn local_tree(&self, id: usize) -> &RTree<usize> {
-        self.base.local_tree(id)
-    }
-
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    fn shard_tree(&self, shard: usize) -> &RTree<usize> {
-        assert_eq!(shard, 0, "a shard slice has exactly one shard");
-        self.base.shard_tree(self.shard)
-    }
-
-    fn index_stats(&self) -> IndexStats {
-        let stats = shard_stats_of(self, self.base.shard_tree(self.shard));
-        IndexStats {
-            objects: stats.objects,
-            instances: stats.instances,
-            shards: vec![stats],
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,28 +292,5 @@ mod tests {
         assert_eq!(stats.shards[0].instances, 5);
         assert!(stats.shards[0].tree_nodes >= 1);
         assert!(stats.shards[0].approx_bytes > 0);
-    }
-
-    #[test]
-    fn shard_slice_narrows_only_the_tree_view() {
-        let db = Database::new(vec![
-            obj(&[(0.0, 0.0)]),
-            obj(&[(9.0, 9.0)]),
-            obj(&[(4.0, 4.0)]),
-        ]);
-        let slice = ShardSlice::new(&db, 0);
-        // Ids stay logical: every object is addressable through the slice.
-        assert_eq!(slice.len(), 3);
-        assert_eq!(slice.object(2).row(0), &[4.0, 4.0]);
-        assert_eq!(slice.shard_count(), 1);
-        assert_eq!(slice.shard_tree(0).len(), 3);
-        assert!(Arc::ptr_eq(slice.store(), db.store()));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn shard_slice_rejects_bad_shard() {
-        let db = Database::new(vec![obj(&[(0.0, 0.0)])]);
-        let _ = ShardSlice::new(&db, 1);
     }
 }

@@ -31,15 +31,17 @@
 //! * [`Database`] / [`FlatDatabase`] — objects indexed by a global R-tree
 //!   plus per-object local R-trees (§6's n+1-tree layout);
 //! * [`ShardedDatabase`] — the store space-partitioned into STR tiles,
-//!   one global R-tree per tile, searched scatter-gather with a shared
-//!   prune bound;
+//!   one global R-tree per tile, all searched by one best-first descent
+//!   with a shared prune bound;
 //! * [`PreparedQuery`] — the query with its convex hull cached;
 //! * [`Operator`] / [`dominates`] — the five dominance checks with the
 //!   §5.1 filtering techniques, switchable via [`FilterConfig`];
 //! * [`CheckCtx`] — the per-query check environment every operator runs
 //!   against;
-//! * [`nn_candidates`] / [`ProgressiveNnc`] — Algorithm 1 (batch and
-//!   progressive);
+//! * [`ProgressiveNnc`] — Algorithm 1, the one best-first traversal,
+//!   emitting candidates progressively; [`nn_candidates`] runs it to the
+//!   end, and [`k_nn_candidates`] runs it with a dominator budget `k`
+//!   (the k-robust, skyband-style extension; `k = 1` is NNC);
 //! * [`PublishedIndex`] — epoch-published snapshot chain for concurrent
 //!   readers over a mutating index (insert/delete/update via the
 //!   [`SpatialIndex`] `try_*` family);
@@ -47,7 +49,8 @@
 //!   its candidate set on every published epoch;
 //! * [`QueryEngine`] — single-query and multi-threaded batch execution
 //!   with exact [`Stats`] / [`QueryMetrics`] merging;
-//! * [`nn_candidates_bruteforce`] — the O(n²) reference oracle;
+//! * [`nn_candidates_bruteforce`] / [`k_nn_candidates_bruteforce`] — the
+//!   O(n²) reference oracles;
 //! * [`Stats`] — instance-comparison/flow/MBR/traversal/cache counters for
 //!   the Appendix C ablation;
 //! * [`QueryMetrics`] (re-exported from `osd-obs`) — phase timers, latency
@@ -72,7 +75,6 @@ pub mod explain;
 pub mod index;
 #[cfg(feature = "strict-invariants")]
 pub mod invariants;
-pub mod knnc;
 pub mod nnc;
 pub mod ops;
 pub mod publish;
@@ -80,7 +82,7 @@ pub mod query;
 pub mod sharded;
 pub mod warm;
 
-pub use brute::nn_candidates_bruteforce;
+pub use brute::{k_nn_candidates_bruteforce, nn_candidates_bruteforce};
 pub use cache::DominanceCache;
 pub use config::{FilterConfig, Stats};
 pub use continuous::{ContinuousNnc, Repair};
@@ -88,14 +90,10 @@ pub use ctx::CheckCtx;
 pub use db::{Database, DbError, FlatDatabase};
 pub use engine::{batch_metrics, batch_stats, record_batch, QueryEngine};
 pub use explain::{dominance_matrix, dominators_of, dominators_of_with};
-pub use index::{IndexStats, ShardSlice, ShardStats, SpatialIndex};
-pub use knnc::{
-    k_nn_candidates, k_nn_candidates_bruteforce, k_nn_candidates_scatter, k_nn_candidates_warm,
-    KnncResult,
-};
+pub use index::{IndexStats, ShardStats, SpatialIndex};
 pub use nnc::{
-    nn_candidates, nn_candidates_scatter, nn_candidates_scatter_warm, nn_candidates_warm,
-    Candidate, NncResult, ProgressiveNnc,
+    k_nn_candidates, k_nn_candidates_warm, nn_candidates, nn_candidates_warm, Candidate,
+    KnncResult, NncResult, ProgressiveNnc,
 };
 pub use ops::{
     dominates, enclosing_ball, f_plus_sd, f_sd, p_sd, peer_network_flow, s_sd, sphere_validate,

@@ -1,4 +1,4 @@
-//! Algorithm 1: NN-candidate computation.
+//! Algorithm 1: NN-candidate computation, and its k-robust extension.
 //!
 //! Objects are visited in non-decreasing order of their **actual** minimal
 //! distance `δ_min(V, Q)` via a best-first traversal of the global R-tree
@@ -11,6 +11,21 @@
 //! exact. Entries (subtrees) are discarded wholesale when a current
 //! candidate MBR-dominates their MBR (Theorem 4 cover validation).
 //!
+//! ## k-robust candidates
+//!
+//! The same traversal computes `NNC_k(O, Q, SD)`: every object dominated
+//! by **fewer than `k`** other objects (so `NNC_1` is the paper's NNC). The
+//! set is a shortlist resilient to removing up to `k − 1` objects: if any
+//! `k − 1` candidates are taken away (sold out, offline, …), the NN under
+//! every covered function is still inside the set. Two decisions count
+//! against `k`: an object is emitted while fewer than `k` emitted
+//! candidates dominate it, and a subtree is pruned once `k` candidate MBRs
+//! dominate it. Counting dominators among *emitted* candidates suffices —
+//! every dominator of `V` precedes or ties it, and a preceding object that
+//! was itself excluded (≥ k dominators) contributes its own dominators,
+//! all of which also dominate `V` by transitivity (the classic k-skyband
+//! argument).
+//!
 //! The traversal is **progressive**: candidates are final the moment they
 //! are emitted, so callers can consume them one by one (Figure 14) or
 //! through the [`Iterator`] implementation.
@@ -19,7 +34,7 @@ use crate::config::{FilterConfig, Stats};
 use crate::ctx::CheckCtx;
 #[cfg(test)]
 use crate::db::Database;
-use crate::index::{ShardSlice, SpatialIndex};
+use crate::index::SpatialIndex;
 use crate::ops::Operator;
 use crate::query::PreparedQuery;
 use crate::warm::{WarmPool, WarmView};
@@ -67,6 +82,29 @@ impl NncResult {
     /// Candidate ids, in emission order.
     pub fn ids(&self) -> Vec<usize> {
         self.candidates.iter().map(|c| c.id).collect()
+    }
+}
+
+/// Result of a k-robust candidate computation.
+#[derive(Debug)]
+pub struct KnncResult {
+    /// Kept candidates in emission order, each with the number of kept
+    /// candidates dominating it (`< k`).
+    pub candidates: Vec<(Candidate, usize)>,
+    /// Cost counters.
+    pub stats: Stats,
+    /// Instrumentation registry of the query (all-zero no-op unless the
+    /// `obs` feature is on).
+    pub metrics: QueryMetrics,
+    /// Structured trace tree of the query — present only when the filter
+    /// configuration requested tracing *and* the `obs` feature is on.
+    pub trace: Option<TraceData>,
+}
+
+impl KnncResult {
+    /// Candidate ids in emission order.
+    pub fn ids(&self) -> Vec<usize> {
+        self.candidates.iter().map(|(c, _)| c.id).collect()
     }
 }
 
@@ -127,7 +165,7 @@ pub fn nn_candidates(
     op: Operator,
     cfg: &FilterConfig,
 ) -> NncResult {
-    run_with(db, query, op, cfg, None)
+    drained(db, query, op, 1, cfg, None).into_result()
 }
 
 /// [`nn_candidates`] resolving snapshot-pure cache misses through `warm`
@@ -141,201 +179,90 @@ pub fn nn_candidates_warm(
     cfg: &FilterConfig,
     warm: &WarmPool,
 ) -> NncResult {
-    run_with(db, query, op, cfg, Some(warm.view_for(db, query)))
+    drained(db, query, op, 1, cfg, Some(warm.view_for(db, query))).into_result()
 }
 
-fn run_with(
-    db: &dyn SpatialIndex,
-    query: &PreparedQuery,
-    op: Operator,
-    cfg: &FilterConfig,
-    warm: Option<WarmView>,
-) -> NncResult {
-    let mut progressive = ProgressiveNnc::with_warm(db, query, op, cfg, warm);
-    while progressive.next_candidate().is_some() {}
-    progressive.into_result()
-}
-
-/// Scatter-gather NNC over a sharded index: each shard is searched
-/// independently (fanned out over up to `threads` scoped worker threads),
-/// then the per-shard candidate sets are merged by a sequential gather
-/// pass that re-filters the union in `(δ_min, id)` order.
+/// Computes the k-robust NN candidates (`k = 1` reproduces
+/// [`nn_candidates`]).
 ///
-/// The candidate set — ids, `min_dist` bits and order — is identical to
-/// [`nn_candidates`] over the same index: a union candidate survives the
-/// gather filter exactly when no globally kept candidate dominates it,
-/// which by transitivity of the dominance operators is the same test the
-/// merged traversal applies at emission. Traversal *counters* differ — the
-/// per-shard descents don't share a prune bound, which is precisely the
-/// overhead the merged traversal avoids (measured by `repro scale`).
+/// ```
+/// use osd_core::{k_nn_candidates, Database, FilterConfig, Operator, PreparedQuery};
+/// use osd_geom::Point;
+/// use osd_uncertain::UncertainObject;
 ///
-/// On a one-shard index this is exactly [`nn_candidates`].
-pub fn nn_candidates_scatter(
+/// // A dominance chain along a line: NNC_k is exactly the first k objects.
+/// let objects: Vec<UncertainObject> = (0..5)
+///     .map(|i| UncertainObject::uniform(vec![Point::from([2.0 + 3.0 * i as f64, 0.0])]))
+///     .collect();
+/// let db = Database::new(objects);
+/// let q = PreparedQuery::new(UncertainObject::uniform(vec![Point::from([0.0, 0.0])]));
+/// let res = k_nn_candidates(&db, &q, Operator::PSd, 2, &FilterConfig::all());
+/// let mut ids = res.ids();
+/// ids.sort_unstable();
+/// assert_eq!(ids, vec![0, 1]);
+/// ```
+///
+/// # Panics
+/// Panics if `k == 0`.
+pub fn k_nn_candidates(
     db: &dyn SpatialIndex,
     query: &PreparedQuery,
     op: Operator,
+    k: usize,
     cfg: &FilterConfig,
-    threads: usize,
-) -> NncResult {
-    scatter_with(db, query, op, cfg, threads, None)
+) -> KnncResult {
+    drained(db, query, op, k, cfg, None).into_knnc_result()
 }
 
-/// [`nn_candidates_scatter`] with warm-cache resolution: the query's warm
-/// view is resolved once and shared by every per-shard worker and the
-/// gather pass (all shard slices of an index share its store snapshot, so
-/// one view serves them all). Same bit-identity contract as
-/// [`nn_candidates_warm`].
-pub fn nn_candidates_scatter_warm(
+/// [`k_nn_candidates`] resolving snapshot-pure cache misses through
+/// `warm` (see `core::warm`). Candidate set, `min_dist` bits, order,
+/// dominator counts and `Stats` are bit-identical to the cold path.
+///
+/// # Panics
+/// Panics if `k == 0`.
+pub fn k_nn_candidates_warm(
     db: &dyn SpatialIndex,
     query: &PreparedQuery,
     op: Operator,
+    k: usize,
     cfg: &FilterConfig,
-    threads: usize,
     warm: &WarmPool,
-) -> NncResult {
-    scatter_with(db, query, op, cfg, threads, Some(warm.view_for(db, query)))
+) -> KnncResult {
+    drained(db, query, op, k, cfg, Some(warm.view_for(db, query))).into_knnc_result()
 }
 
-fn scatter_with(
-    db: &dyn SpatialIndex,
-    query: &PreparedQuery,
+/// A traversal run to exhaustion.
+fn drained<'a>(
+    db: &'a dyn SpatialIndex,
+    query: &'a PreparedQuery,
     op: Operator,
+    k: usize,
     cfg: &FilterConfig,
-    threads: usize,
     warm: Option<WarmView>,
-) -> NncResult {
-    let shards = db.shard_count();
-    if shards <= 1 {
-        return run_with(db, query, op, cfg, warm);
-    }
-    let parts = scatter_over_shards(db, threads, |shard| {
-        run_with(&ShardSlice::new(db, shard), query, op, cfg, warm.clone())
-    });
-    // Gather: sort the union by (δ_min, id) — the merged traversal's
-    // emission order — and keep exactly the candidates no kept
-    // predecessor dominates.
-    let mut union: Vec<Candidate> = parts
-        .iter()
-        .flat_map(|r| r.candidates.iter().cloned())
-        .collect();
-    union.sort_by(|a, b| a.min_dist.total_cmp(&b.min_dist).then(a.id.cmp(&b.id)));
-    let mut ctx = CheckCtx::with_warm(db, query, *cfg, warm);
-    // The gather trace summarises each scatter part as one point event
-    // (per-shard interior spans live in the parts, which are folded away
-    // here — the merged traversal is the path that yields full depth).
-    for (shard, r) in parts.iter().enumerate() {
-        if !ctx.trace.is_active() {
-            break;
-        }
-        let event = ctx.trace.instant("scatter-part");
-        ctx.trace.attr(event, "shard", AttrValue::U64(shard as u64));
-        ctx.trace.attr(
-            event,
-            "candidates",
-            AttrValue::U64(r.candidates.len() as u64),
-        );
-        if let Some(t) = &r.trace {
-            ctx.trace.attr(event, "part_ns", AttrValue::U64(t.total_ns));
-        }
-    }
-    let gather = ctx.trace.open("gather");
-    let union_len = union.len();
-    let mut kept: Vec<Candidate> = Vec::with_capacity(union.len());
-    for c in union {
-        let mut dominated = false;
-        for k in &kept {
-            if ctx.dominates(op, k.id, c.id) {
-                dominated = true;
-                break;
-            }
-        }
-        if !dominated {
-            ctx.metrics.candidate_emitted(op.label());
-            kept.push(c);
-        }
-    }
-    if gather != SpanId::NONE {
-        ctx.trace
-            .attr(gather, "union", AttrValue::U64(union_len as u64));
-        ctx.trace
-            .attr(gather, "kept", AttrValue::U64(kept.len() as u64));
-    }
-    ctx.trace.close(gather);
-    let mut stats = Stats::default();
-    let mut metrics = QueryMetrics::new();
-    let mut objects_checked = 0;
-    for r in &parts {
-        stats.merge(&r.stats);
-        metrics.merge(&r.metrics);
-        objects_checked += r.objects_checked;
-    }
-    stats.merge(&ctx.stats);
-    metrics.merge(&ctx.metrics);
-    let mut trace = ctx.trace.finish();
-    if let Some(t) = trace.as_mut() {
-        t.label = Cow::Borrowed(op.label());
-    }
-    NncResult {
-        candidates: kept,
-        stats,
-        objects_checked,
-        metrics,
-        trace,
-    }
-}
-
-/// Runs `work` for every shard id, fanned out over up to `threads` scoped
-/// worker threads (dynamic claiming, results in shard order). With one
-/// worker the loop runs inline on the caller's thread.
-pub(crate) fn scatter_over_shards<R: Send>(
-    db: &dyn SpatialIndex,
-    threads: usize,
-    work: impl Fn(usize) -> R + Sync,
-) -> Vec<R> {
-    let shards = db.shard_count();
-    let workers = threads.max(1).min(shards.max(1));
-    if workers <= 1 {
-        return (0..shards).map(work).collect();
-    }
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, R)> = Vec::with_capacity(shards);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut claimed = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= shards {
-                            break;
-                        }
-                        claimed.push((i, work(i)));
-                    }
-                    claimed
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(part) => indexed.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    indexed.sort_by_key(|&(i, _)| i);
-    indexed.into_iter().map(|(_, r)| r).collect()
+) -> ProgressiveNnc<'a> {
+    let mut progressive = ProgressiveNnc::with_k(db, query, op, k, cfg, warm);
+    while progressive.next_with_dominators().is_some() {}
+    progressive
 }
 
 /// A resumable Algorithm-1 traversal that emits candidates one at a time —
-/// the progressive behaviour evaluated in Figure 14.
+/// the progressive behaviour evaluated in Figure 14 — and the only
+/// traversal there is: [`nn_candidates`] is it at `k = 1`,
+/// [`k_nn_candidates`] at any `k`.
 ///
 /// Also an [`Iterator`] over [`Candidate`]s, so the traversal composes with
 /// adapters: `ProgressiveNnc::new(..).take(3)` yields the first three
 /// candidates without finishing the query.
 pub struct ProgressiveNnc<'a> {
     op: Operator,
+    /// Dominator budget: an object is emitted while fewer than `k`
+    /// emitted candidates dominate it (1 for NNC).
+    k: usize,
     heap: BinaryHeap<HeapItem<'a>>,
     candidates: Vec<Candidate>,
+    /// Emitted candidates dominating each candidate (`< k`), parallel to
+    /// `candidates`.
+    dominators: Vec<usize>,
     /// MBR of each emitted candidate, cached at emission so entry pruning
     /// reads a contiguous list instead of chasing the store per check.
     /// `Arc`ed so a warm run shares the snapshot-scoped copy instead of
@@ -347,25 +274,31 @@ pub struct ProgressiveNnc<'a> {
 }
 
 impl<'a> ProgressiveNnc<'a> {
-    /// Starts a traversal.
+    /// Starts an NNC traversal (`k = 1`).
     pub fn new(
         db: &'a dyn SpatialIndex,
         query: &'a PreparedQuery,
         op: Operator,
         cfg: &FilterConfig,
     ) -> Self {
-        Self::with_warm(db, query, op, cfg, None)
+        Self::with_k(db, query, op, 1, cfg, None)
     }
 
-    /// Starts a traversal whose context resolves snapshot-pure cache
-    /// misses through `warm`; results are bit-identical to [`Self::new`].
-    pub fn with_warm(
+    /// Starts a traversal streaming the k-robust candidates (`k = 1` is
+    /// NNC) whose context resolves snapshot-pure cache misses through
+    /// `warm`, if given; results are bit-identical to the cold traversal.
+    ///
+    /// # Panics
+    /// Panics if `k == 0`.
+    pub fn with_k(
         db: &'a dyn SpatialIndex,
         query: &'a PreparedQuery,
         op: Operator,
+        k: usize,
         cfg: &FilterConfig,
         warm: Option<WarmView>,
     ) -> Self {
+        assert!(k >= 1, "k must be at least 1");
         let timer = PhaseTimer::start(Phase::Prepare);
         let mut ctx = CheckCtx::with_warm(db, query, *cfg, warm);
         let prep = ctx.trace.open("prepare");
@@ -395,13 +328,18 @@ impl<'a> ProgressiveNnc<'a> {
             ctx.trace
                 .attr(prep, "seeds", AttrValue::U64(heap.len() as u64));
             ctx.trace.attr(prep, "epoch", AttrValue::U64(db.epoch()));
+            if k > 1 {
+                ctx.trace.attr(prep, "k", AttrValue::U64(k as u64));
+            }
         }
         ctx.trace.close(prep);
         ctx.metrics.record(timer);
         ProgressiveNnc {
             op,
+            k,
             heap,
             candidates: Vec::new(),
+            dominators: Vec::new(),
             cand_mbrs: Vec::new(),
             ctx,
             objects_checked: 0,
@@ -457,20 +395,41 @@ impl<'a> ProgressiveNnc<'a> {
         }
     }
 
+    /// Consumes the traversal into a [`KnncResult`] with everything
+    /// emitted so far, each candidate paired with its dominator count.
+    pub fn into_knnc_result(mut self) -> KnncResult {
+        let dominators = std::mem::take(&mut self.dominators);
+        let r = self.into_result();
+        KnncResult {
+            candidates: r.candidates.into_iter().zip(dominators).collect(),
+            stats: r.stats,
+            metrics: r.metrics,
+            trace: r.trace,
+        }
+    }
+
     /// Advances the traversal until the next candidate is found; `None` when
     /// the heap is exhausted.
     pub fn next_candidate(&mut self) -> Option<Candidate> {
+        self.next_with_dominators().map(|(c, _)| c)
+    }
+
+    /// [`Self::next_candidate`] paired with the number of emitted
+    /// candidates dominating it (always `< k`; 0 at `k = 1`).
+    pub fn next_with_dominators(&mut self) -> Option<(Candidate, usize)> {
         while let Some(HeapItem { key, slot }) = self.heap.pop() {
             match slot {
                 Slot::Object(v) => {
                     self.objects_checked += 1;
-                    if !self.dominated(v) {
+                    let dominators = self.dominator_count(v);
+                    if dominators < self.k {
                         let c = Candidate {
                             id: v,
                             min_dist: key.max(0.0).sqrt(),
                             elapsed: self.start.elapsed(),
                         };
                         self.candidates.push(c.clone());
+                        self.dominators.push(dominators);
                         let mbr = match self.ctx.cache.warm() {
                             Some(w) => w.object_mbr(self.ctx.db, v, &mut self.ctx.metrics),
                             None => Arc::new(self.ctx.db.object(v).mbr().clone()),
@@ -483,8 +442,15 @@ impl<'a> ProgressiveNnc<'a> {
                             self.ctx
                                 .trace
                                 .attr(event, "min_dist", AttrValue::F64(c.min_dist));
+                            if self.k > 1 {
+                                self.ctx.trace.attr(
+                                    event,
+                                    "dominators",
+                                    AttrValue::U64(dominators as u64),
+                                );
+                            }
                         }
-                        return Some(c);
+                        return Some((c, dominators));
                     }
                 }
                 Slot::Node(node, shard) => {
@@ -511,7 +477,14 @@ impl<'a> ProgressiveNnc<'a> {
                                         // exactness argument (statistic rule on
                                         // `min`) needs the true value, and the
                                         // MBR distance is only a lower bound.
-                                        let key = self.object_min_dist2(e.item);
+                                        let key = object_min_dist2(
+                                            self.ctx.db,
+                                            self.ctx.query,
+                                            self.ctx.cfg.kernels,
+                                            e.item,
+                                            &mut self.ctx.stats,
+                                            &mut self.ctx.metrics,
+                                        );
                                         self.heap.push(HeapItem {
                                             key,
                                             slot: Slot::Object(e.item),
@@ -550,29 +523,22 @@ impl<'a> ProgressiveNnc<'a> {
         None
     }
 
-    /// Whether any current candidate dominates object `v`.
-    fn dominated(&mut self, v: usize) -> bool {
+    /// Emitted candidates dominating object `v`, counted up to `k`: the
+    /// scan stops at the `k`-th dominator (the first one at `k = 1`).
+    fn dominator_count(&mut self, v: usize) -> usize {
+        let mut dominators = 0;
         // Iterate over ids (cheap copy) because the dominance check needs
         // mutable access to the cache.
         for idx in 0..self.candidates.len() {
             let u = self.candidates[idx].id;
             if self.ctx.dominates(self.op, u, v) {
-                return true;
+                dominators += 1;
+                if dominators == self.k {
+                    break;
+                }
             }
         }
-        false
-    }
-
-    /// Exact squared `δ_min(V, Q)` via the object's local R-tree.
-    fn object_min_dist2(&mut self, v: usize) -> f64 {
-        object_min_dist2(
-            self.ctx.db,
-            self.ctx.query,
-            self.ctx.cfg.kernels,
-            v,
-            &mut self.ctx.stats,
-            &mut self.ctx.metrics,
-        )
+        dominators
     }
 
     /// Entry-level pruning against the candidates emitted so far.
@@ -582,6 +548,7 @@ impl<'a> ProgressiveNnc<'a> {
             e_mbr,
             self.ctx.query.mbr(),
             self.op,
+            self.k,
             self.ctx.cfg.mbr_validation,
             &mut self.ctx.stats,
         )
@@ -630,20 +597,22 @@ pub(crate) fn object_min_dist2(
     best
 }
 
-/// Entry-level pruning: discard a subtree (or object) when some MBR in
-/// `cand_mbrs` fully dominates `e_mbr` w.r.t. the query MBR (Theorem 4).
-/// The strict operators use the strict MBR test so that a pruned subtree
-/// can never contain a distribution-equal twin of a candidate.
+/// Entry-level pruning: discard a subtree (or object) when at least `k`
+/// MBRs in `cand_mbrs` fully dominate `e_mbr` w.r.t. the query MBR
+/// (Theorem 4) — every object inside then has ≥ `k` dominators. The
+/// strict operators use the strict MBR test so that a pruned subtree can
+/// never contain a distribution-equal twin of a candidate.
 ///
 /// Shared by the traversal's entry pruning and the continuous repair
-/// pre-filter so both apply the exact same gate. Generic over the MBR
-/// holder so the traversal's warm-shared `Arc<Mbr>` list and the repair
-/// path's owned `Vec<Mbr>` go through the identical code.
+/// pre-filter (`k = 1`) so both apply the exact same gate. Generic over
+/// the MBR holder so the traversal's warm-shared `Arc<Mbr>` list and the
+/// repair path's owned `Vec<Mbr>` go through the identical code.
 pub(crate) fn mbr_pruned<M: Borrow<Mbr>>(
     cand_mbrs: &[M],
     e_mbr: &Mbr,
     query_mbr: &Mbr,
     op: Operator,
+    k: usize,
     mbr_validation: bool,
     stats: &mut Stats,
 ) -> bool {
@@ -654,6 +623,7 @@ pub(crate) fn mbr_pruned<M: Borrow<Mbr>>(
         return false;
     }
     let strict = !matches!(op, Operator::FPlusSd | Operator::FSd);
+    let mut dominators = 0;
     for u_mbr in cand_mbrs {
         let u_mbr = u_mbr.borrow();
         stats.mbr_checks += 1;
@@ -663,7 +633,10 @@ pub(crate) fn mbr_pruned<M: Borrow<Mbr>>(
             mbr_dominates(u_mbr, e_mbr, query_mbr)
         };
         if dominated {
-            return true;
+            dominators += 1;
+            if dominators == k {
+                return true;
+            }
         }
     }
     false
@@ -688,8 +661,10 @@ mod tests {
     }
 
     fn line_db() -> Database {
+        // Objects at increasing distance along a line: each dominates all
+        // the ones after it.
         Database::new(
-            (0..5)
+            (0..6)
                 .map(|i| {
                     let x = 2.0 + 3.0 * i as f64;
                     obj(&[(x, 0.0), (x + 0.5, 0.0)])
@@ -778,17 +753,95 @@ mod tests {
     }
 
     #[test]
-    fn scatter_on_flat_database_matches_merged() {
+    fn k1_equals_nnc() {
         let db = line_db();
         let q = PreparedQuery::new(obj(&[(0.0, 0.0)]));
         for op in Operator::ALL {
-            let merged = nn_candidates(&db, &q, op, &FilterConfig::all());
-            let scattered = nn_candidates_scatter(&db, &q, op, &FilterConfig::all(), 4);
-            assert_eq!(merged.ids(), scattered.ids(), "{op:?}");
-            assert_eq!(
-                merged.stats, scattered.stats,
-                "{op:?} (one shard: same path)"
-            );
+            let k1 = k_nn_candidates(&db, &q, op, 1, &FilterConfig::all());
+            let nnc = nn_candidates(&db, &q, op, &FilterConfig::all());
+            assert_eq!(k1.ids(), nnc.ids(), "k=1 must equal NNC for {op:?}");
         }
+    }
+
+    #[test]
+    fn chain_grows_one_per_k() {
+        let db = line_db();
+        let q = PreparedQuery::new(obj(&[(0.0, 0.0)]));
+        // On a dominance chain, NNC_k is exactly the first k objects.
+        for k in 1..=6 {
+            let res = k_nn_candidates(&db, &q, Operator::SSd, k, &FilterConfig::all());
+            let mut ids = res.ids();
+            ids.sort_unstable();
+            assert_eq!(ids, (0..k).collect::<Vec<_>>(), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn progressive_streams_the_k_robust_set() {
+        let db = line_db();
+        let q = PreparedQuery::new(obj(&[(0.0, 0.0)]));
+        let cfg = FilterConfig::all();
+        let mut stream = ProgressiveNnc::with_k(&db, &q, Operator::SSd, 3, &cfg, None);
+        let mut streamed = Vec::new();
+        while let Some((c, dominators)) = stream.next_with_dominators() {
+            streamed.push((c.id, dominators));
+        }
+        // Object i on the chain is dominated by every object before it.
+        assert_eq!(streamed, vec![(0, 0), (1, 1), (2, 2)]);
+        let batch = k_nn_candidates(&db, &q, Operator::SSd, 3, &cfg);
+        let batch: Vec<(usize, usize)> = batch.candidates.iter().map(|(c, d)| (c.id, *d)).collect();
+        assert_eq!(streamed, batch);
+    }
+
+    #[test]
+    fn matches_bruteforce_on_random_data() {
+        use crate::brute::k_nn_candidates_bruteforce;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(77);
+        let objects: Vec<UncertainObject> = (0..30)
+            .map(|_| {
+                let cx = rng.gen_range(0.0..100.0);
+                let cy = rng.gen_range(0.0..100.0);
+                obj(&[
+                    (cx, cy),
+                    (cx + rng.gen_range(0.0..5.0), cy + rng.gen_range(0.0..5.0)),
+                ])
+            })
+            .collect();
+        let db = Database::with_fanouts(objects, 4, 2);
+        let q = PreparedQuery::new(obj(&[(50.0, 50.0), (52.0, 48.0)]));
+        for op in Operator::ALL {
+            for k in [1usize, 2, 3, 5] {
+                let mut algo = k_nn_candidates(&db, &q, op, k, &FilterConfig::all()).ids();
+                algo.sort_unstable();
+                let brute = k_nn_candidates_bruteforce(&db, &q, op, k, &FilterConfig::all());
+                assert_eq!(algo, brute, "k-NNC mismatch for {op:?}, k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn monotone_in_k() {
+        let db = line_db();
+        let q = PreparedQuery::new(obj(&[(0.0, 0.0)]));
+        let mut prev: Vec<usize> = Vec::new();
+        for k in 1..=6 {
+            let mut ids = k_nn_candidates(&db, &q, Operator::PSd, k, &FilterConfig::all()).ids();
+            ids.sort_unstable();
+            assert!(
+                prev.iter().all(|i| ids.contains(i)),
+                "NNC_k must grow with k"
+            );
+            prev = ids;
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1")]
+    fn k_zero_rejected() {
+        let db = line_db();
+        let q = PreparedQuery::new(obj(&[(0.0, 0.0)]));
+        let _ = k_nn_candidates(&db, &q, Operator::SSd, 0, &FilterConfig::all());
     }
 }

@@ -159,8 +159,8 @@ pub(super) fn no_alloc_in_kernels(_ws: &Workspace, file: &SourceFile, out: &mut 
 }
 
 /// Files with `// per-shard descent: begin` / `end` regions: the Node
-/// expansion arms of the merged-forest traversals.
-const DESCENT_REGION_FILES: &[&str] = &["crates/core/src/nnc.rs", "crates/core/src/knnc.rs"];
+/// expansion arm of the merged-forest traversal.
+const DESCENT_REGION_FILES: &[&str] = &["crates/core/src/nnc.rs"];
 
 /// The merged-forest heap expansion runs once per visited node per shard;
 /// an allocation there scales with shard count × node visits and would
@@ -262,7 +262,7 @@ mod tests {
     #[test]
     fn to_vec_split_across_lines_is_still_flagged() {
         let v = check_src(
-            "crates/core/src/knnc.rs",
+            "crates/core/src/nnc.rs",
             "fn f(xs: &[f64]) {\n    let _ = xs\n        .to_vec\n        ();\n}\n",
         );
         assert_eq!(rules(&v), vec!["no-owned-points-in-hot-paths"]);
@@ -351,15 +351,13 @@ pub fn expand(xs: &[usize]) { let _c: Vec<usize> = xs.iter().copied().collect();
 // per-shard descent: end
 pub fn gather() { let _v: Vec<usize> = Vec::new(); }
 ";
-        for path in ["crates/core/src/nnc.rs", "crates/core/src/knnc.rs"] {
-            let v = check_src(path, src);
-            let hits: Vec<_> = v
-                .iter()
-                .filter(|x| x.rule == "no-per-shard-alloc-in-descent")
-                .collect();
-            assert_eq!(hits.len(), 1, "{v:?}");
-            assert_eq!(hits[0].line, 3);
-        }
+        let v = check_src("crates/core/src/nnc.rs", src);
+        let hits: Vec<_> = v
+            .iter()
+            .filter(|x| x.rule == "no-per-shard-alloc-in-descent")
+            .collect();
+        assert_eq!(hits.len(), 1, "{v:?}");
+        assert_eq!(hits[0].line, 3);
         // Other files are out of scope even with the markers present.
         let v = check_src("crates/core/src/engine.rs", src);
         assert!(v.iter().all(|x| x.rule != "no-per-shard-alloc-in-descent"));
@@ -375,7 +373,7 @@ mod tests {
 }
 // per-shard descent: end
 ";
-        let v = check_src("crates/core/src/knnc.rs", src);
+        let v = check_src("crates/core/src/nnc.rs", src);
         assert!(v.iter().all(|x| x.rule != "no-per-shard-alloc-in-descent"));
     }
 

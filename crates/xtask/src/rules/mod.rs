@@ -91,8 +91,8 @@ static RULES: [Rule; 17] = [
     Rule {
         id: "no-float-eq-in-kernels",
         summary: "no ==/!= on float-looking operands in the dominance kernels",
-        scope: "crates/core/src/ops, crates/geom/src/dominance.rs, crates/core/src/nnc.rs, \
-                crates/core/src/knnc.rs (test modules exempt)",
+        scope: "crates/core/src/ops, crates/geom/src/dominance.rs, crates/core/src/nnc.rs \
+                (test modules exempt)",
         intent: "exact float equality in a dominance kernel silently changes the operators' \
                  tie semantics, or makes a heap's Eq disagree with its Ord. Detection is \
                  heuristic (no type information): a comparison is flagged when either operand \
@@ -160,8 +160,7 @@ static RULES: [Rule; 17] = [
     Rule {
         id: "no-owned-points-in-hot-paths",
         summary: "hot query paths borrow rows from the columnar store, never gather owned copies",
-        scope: "crates/core/src/ops, crates/core/src/nnc.rs, crates/core/src/knnc.rs \
-                (test modules exempt)",
+        scope: "crates/core/src/ops, crates/core/src/nnc.rs (test modules exempt)",
         intent: ".points() / .to_vec() in a dominance kernel or NNC/k-NNC traversal allocates \
                  per dominance check and silently reintroduces the per-check heap traffic the \
                  flat SoA layout removed (PR 3).",
@@ -196,8 +195,8 @@ static RULES: [Rule; 17] = [
     Rule {
         id: "no-per-shard-alloc-in-descent",
         summary: "no allocation idioms inside the merged-forest node-expansion regions",
-        scope: "`// per-shard descent: begin/end` regions of crates/core/src/nnc.rs and \
-                crates/core/src/knnc.rs (test modules exempt)",
+        scope: "`// per-shard descent: begin/end` regions of crates/core/src/nnc.rs \
+                (test modules exempt)",
         intent: "the merged-forest heap expansion runs once per visited node per shard; \
                  Vec::new / vec![ / .to_vec( / .collect( there scales heap traffic with \
                  shard count × node visits and silently erases the shared-bound advantage \
@@ -210,8 +209,8 @@ static RULES: [Rule; 17] = [
     Rule {
         id: "no-warm-bypass",
         summary: "hot query paths never construct level snapshots or bound tables directly",
-        scope: "crates/core/src/ops, crates/core/src/nnc.rs, crates/core/src/knnc.rs \
-                (test modules exempt; core::cache and core::warm own the constructors)",
+        scope: "crates/core/src/ops, crates/core/src/nnc.rs (test modules exempt; \
+                core::cache and core::warm own the constructors)",
         intent: "level snapshots, group MBRs and bound-distribution tables are built by \
                  the shared constructors in core::cache and promoted to snapshot lifetime \
                  by core::warm. A `LevelSnapshot { .. }`/`LevelGroups { .. }` literal or a \
@@ -341,18 +340,14 @@ pub(crate) fn in_lib_src(file: &SourceFile) -> bool {
 /// The dominance kernels where exact float comparison is banned.
 pub(crate) fn is_kernel(path: &Path) -> bool {
     const DIRS: &[&str] = &["crates/core/src/ops"];
-    const FILES: &[&str] = &[
-        "crates/geom/src/dominance.rs",
-        "crates/core/src/nnc.rs",
-        "crates/core/src/knnc.rs",
-    ];
+    const FILES: &[&str] = &["crates/geom/src/dominance.rs", "crates/core/src/nnc.rs"];
     DIRS.iter().any(|d| path.starts_with(d)) || FILES.iter().any(|f| Path::new(f) == path)
 }
 
 /// Hot query paths that must borrow rows from the columnar store.
 pub(crate) fn is_hot_path(path: &Path) -> bool {
     const DIRS: &[&str] = &["crates/core/src/ops"];
-    const FILES: &[&str] = &["crates/core/src/nnc.rs", "crates/core/src/knnc.rs"];
+    const FILES: &[&str] = &["crates/core/src/nnc.rs"];
     DIRS.iter().any(|d| path.starts_with(d)) || FILES.iter().any(|f| Path::new(f) == path)
 }
 

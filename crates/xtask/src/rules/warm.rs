@@ -63,7 +63,7 @@ mod tests {
         );
         assert_eq!(rules(&v), vec!["no-warm-bypass"]);
         let v = check_src(
-            "crates/core/src/knnc.rs",
+            "crates/core/src/nnc.rs",
             "fn f(q: &Q, l: &L) { let _b = build_bounds_whole(q, l); }\n",
         );
         assert_eq!(rules(&v), vec!["no-warm-bypass"]);

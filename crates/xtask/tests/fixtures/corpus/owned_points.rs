@@ -1,4 +1,4 @@
-//~ path: crates/core/src/knnc.rs
+//~ path: crates/core/src/nnc.rs
 fn gather(xs: &[f64]) -> Vec<f64> {
     xs
         .to_vec

@@ -21,7 +21,7 @@ echo "== xtask check --format json (CI schema) =="
 JSON_OUT="$(cargo run -q -p xtask -- check --format json)"
 for key in '"tool": "xtask-check"' '"files_scanned"' '"manifests_scanned"' \
            '"waivers"' '"diagnostics": []' '"ok": true'; do
-  printf '%s' "$JSON_OUT" | grep -qF "$key" \
+  grep -qF "$key" <<<"$JSON_OUT" \
     || { echo "xtask json: missing $key"; printf '%s\n' "$JSON_OUT"; exit 1; }
 done
 
@@ -58,10 +58,9 @@ echo "== repro kernels --smoke (bit-identity of the blocked kernels) =="
 cargo run -q -p osd-bench --bin repro -- kernels --smoke
 
 echo "== repro scale --smoke (sharded-index bit-identity) =="
-# The STR-sharded index is a pure layout change: flat, merged-forest and
-# scatter-gather candidates must be identical, and the merged traversal's
-# shared prune bound must never visit more nodes than the independent
-# per-shard descents. Assertion-only; never touches BENCH_scale.json.
+# The STR-sharded index is a pure layout change: flat and merged-forest
+# candidates must be identical. Assertion-only; never touches
+# BENCH_scale.json.
 cargo run -q --release -p osd-bench --bin repro -- scale --smoke
 
 echo "== repro mutate --smoke (epoch churn under concurrent readers) =="

@@ -22,9 +22,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use osd_core::{
-    k_nn_candidates, k_nn_candidates_warm, nn_candidates, nn_candidates_scatter,
-    nn_candidates_scatter_warm, nn_candidates_warm, Database, FilterConfig, KnncResult, NncResult,
-    Operator, PreparedQuery, PublishedIndex, ShardedDatabase, SpatialIndex, Stats, WarmPool,
+    k_nn_candidates, k_nn_candidates_warm, nn_candidates, nn_candidates_warm, Database,
+    FilterConfig, KnncResult, NncResult, Operator, PreparedQuery, PublishedIndex, ShardedDatabase,
+    SpatialIndex, Stats, WarmPool,
 };
 use osd_datagen::{generate_objects, CenterDistribution, SynthParams};
 use std::fmt::Write as _;
@@ -177,23 +177,6 @@ fn layout_lines(out: &mut String, layout: &str, db: &dyn SpatialIndex) {
             let r = k_nn_candidates_warm(db, &qs[i], op, 2, &cfg, &pool);
             let w = warm_line(&pool);
             writeln!(out, "{layout} {name} k2-warm q{i} {} {w}", knnc_line(&r)).unwrap();
-        }
-        if db.shard_count() > 1 {
-            for (i, q) in qs.iter().enumerate() {
-                let r = nn_candidates_scatter(db, q, op, &cfg, 1);
-                writeln!(out, "{layout} {name} scatter-cold q{i} {}", nnc_line(&r)).unwrap();
-            }
-            let pool = WarmPool::new();
-            for i in warm_order(qs.len()) {
-                let r = nn_candidates_scatter_warm(db, &qs[i], op, &cfg, 1, &pool);
-                let w = warm_line(&pool);
-                writeln!(
-                    out,
-                    "{layout} {name} scatter-warm q{i} {} {w}",
-                    nnc_line(&r)
-                )
-                .unwrap();
-            }
         }
     }
 }
