@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use osd_flow::{MaxFlow, MinCostFlow};
 use osd_geom::{hull_vertices, Mbr, Point};
-use osd_rtree::{Entry, RTree};
+use osd_rtree::RTree;
 use osd_uncertain::{stochastically_dominates, DistanceDistribution};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,25 +32,11 @@ fn bench_rtree(c: &mut Criterion) {
         let pts = random_points(n, 3);
         group.bench_with_input(BenchmarkId::new("bulk_load", n), &n, |b, _| {
             b.iter(|| {
-                let entries: Vec<Entry<usize>> = pts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| Entry {
-                        mbr: Mbr::from_point(p),
-                        item: i,
-                    })
-                    .collect();
+                let entries: Vec<(Mbr, usize)> = pts.iter().map(Mbr::from_point).zip(0..).collect();
                 black_box(RTree::bulk_load(32, entries))
             })
         });
-        let entries: Vec<Entry<usize>> = pts
-            .iter()
-            .enumerate()
-            .map(|(i, p)| Entry {
-                mbr: Mbr::from_point(p),
-                item: i,
-            })
-            .collect();
+        let entries: Vec<(Mbr, usize)> = pts.iter().map(Mbr::from_point).zip(0..).collect();
         let tree = RTree::bulk_load(32, entries);
         let q = Point::new(vec![5_000.0, 5_000.0]);
         group.bench_with_input(BenchmarkId::new("nearest", n), &n, |b, _| {

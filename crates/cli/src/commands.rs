@@ -1,6 +1,8 @@
 //! Subcommand implementations for the `osd` CLI.
 
-use crate::args::{parse_operator, parse_query_spec, CliError, Flags, ProfileFormat, TraceFormat};
+use crate::args::{
+    parse_operator, parse_query_spec, query_flag, CliError, Flags, ProfileFormat, TraceFormat,
+};
 use osd_core::{
     batch_metrics, batch_stats, dominance_matrix, dominators_of_with, k_nn_candidates,
     nn_candidates, ContinuousNnc, Database, DbError, FilterConfig, FlightRecorder, PreparedQuery,
@@ -314,7 +316,7 @@ pub fn cmd_watch(flags: &Flags) -> Result<(), CliError> {
     flags.check(&valued, &valued)?;
     let data = flags.required("--data")?;
     let ops_file = flags.required("--ops")?;
-    let query = parse_query_spec(flags.required("--query")?)?;
+    let query = query_flag(flags)?;
     let op = parse_operator(flags.value("--op").unwrap_or("psd"))?;
     let shards: usize = flags.parsed_or("--shards", 1)?;
 
@@ -433,6 +435,16 @@ pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
     let reorder = !flags.has("--no-reorder");
     let profile = flags.profile()?;
     let trace_fmt = flags.trace()?;
+    if trace_fmt.is_none() {
+        // The recorder flags only shape what `--trace` records.
+        for flag in ["--recorder", "--slow-ms"] {
+            if flags.value(flag).is_some() {
+                return Err(CliError::BadArgument(format!(
+                    "{flag} needs --trace: without it nothing is recorded"
+                )));
+            }
+        }
+    }
     // Tracing is pure observability: candidates and counters are
     // bit-identical with or without it.
     let cfg = if trace_fmt.is_some() {
@@ -492,7 +504,7 @@ pub fn cmd_query(flags: &Flags) -> Result<(), CliError> {
         return Ok(());
     }
 
-    let query = parse_query_spec(flags.required("--query")?)?;
+    let query = query_flag(flags)?;
     if dim != query.dim() {
         return Err(CliError::Data(format!(
             "query dimensionality {} does not match the dataset's {}",
@@ -696,7 +708,7 @@ pub fn cmd_explain(flags: &Flags) -> Result<(), CliError> {
     let valued = ["--data", "--query", "--op", "--shards", "--object"];
     flags.check(&[&valued[..], &["--matrix"]].concat(), &valued)?;
     let data = flags.required("--data")?;
-    let query = parse_query_spec(flags.required("--query")?)?;
+    let query = query_flag(flags)?;
     let op = parse_operator(flags.value("--op").unwrap_or("psd"))?;
     let shards: usize = flags.parsed_or("--shards", 1)?;
     let matrix = flags.has("--matrix");
@@ -790,7 +802,7 @@ pub fn cmd_score(flags: &Flags) -> Result<(), CliError> {
     let valued = ["--data", "--query", "--object"];
     flags.check(&valued, &valued)?;
     let data = flags.required("--data")?;
-    let query = parse_query_spec(flags.required("--query")?)?;
+    let query = query_flag(flags)?;
     let id: usize = flags
         .required("--object")?
         .parse()

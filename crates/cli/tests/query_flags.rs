@@ -1,7 +1,9 @@
 //! End-to-end checks of `osd query` flag handling, through the built
 //! binary: `--progressive --k K` streams exactly the K-robust set that
-//! `--k K` prints, and unknown flags (including the retired scatter
-//! switch) fail with exit code 2 and an error naming the flag.
+//! `--k K` prints; unknown flags (including the retired scatter switch),
+//! recorder flags without `--trace`, non-finite or out-of-range query
+//! coordinates and data files fail with exit code 2 (never a panic's 101)
+//! and an error naming the flag or the line.
 
 // Integration test: aborts are intentional.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -107,4 +109,70 @@ fn unknown_flags_exit_2_naming_the_flag() {
         );
     }
     std::fs::remove_file(&data).ok();
+}
+
+/// Runs `osd` expecting a clean failure: exit code 2 (not a panic) and
+/// stderr containing `needle`.
+fn fails_naming(args: &[&str], needle: &str) {
+    let out = osd(args);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+    assert!(
+        err.contains(needle),
+        "{args:?}: expected {needle:?} in {err}"
+    );
+}
+
+#[test]
+fn recorder_flags_without_trace_are_rejected() {
+    let data = dataset("recorder.csv");
+    let mut rec = std::env::temp_dir();
+    rec.push(format!("osd-query-flags-{}-flight.log", std::process::id()));
+    let rec = rec.to_string_lossy().into_owned();
+    let base = ["query", "--data", &data, "--query", "5000,5000"];
+    fails_naming(
+        &[&base[..], &["--recorder", &rec]].concat(),
+        "--recorder needs --trace",
+    );
+    fails_naming(
+        &[&base[..], &["--slow-ms", "5"]].concat(),
+        "--slow-ms needs --trace",
+    );
+    assert!(
+        !std::path::Path::new(&rec).exists(),
+        "nothing may be written"
+    );
+    std::fs::remove_file(&data).ok();
+}
+
+#[test]
+fn bad_query_coordinates_are_rejected_naming_the_flag() {
+    let data = dataset("badquery.csv");
+    for spec in ["NaN,5", "5,inf", "1e308,0", "0,0;-1e200,1"] {
+        fails_naming(&["query", "--data", &data, "--query", spec], "--query");
+    }
+    std::fs::remove_file(&data).ok();
+}
+
+#[test]
+fn bad_data_coordinates_are_rejected_naming_the_line() {
+    let mut path = std::env::temp_dir();
+    path.push(format!(
+        "osd-query-flags-{}-baddata.csv",
+        std::process::id()
+    ));
+    let path = path.to_string_lossy().into_owned();
+    for (row, what) in [
+        ("1,1.0,NaN,2", "is not finite"),
+        ("1,1.0,3,-inf", "is not finite"),
+        ("1,1.0,1e308,2", "exceeds the magnitude bound"),
+    ] {
+        std::fs::write(&path, format!("object_id,weight,c0,c1\n0,1.0,1,2\n{row}\n")).unwrap();
+        fails_naming(
+            &["query", "--data", &path, "--query", "0,0"],
+            "line 3: coordinate",
+        );
+        fails_naming(&["query", "--data", &path, "--query", "0,0"], what);
+    }
+    std::fs::remove_file(&path).ok();
 }

@@ -236,10 +236,9 @@ impl ContinuousNnc {
         let mut pruned = 0usize;
         let mut keyed: Vec<(f64, usize)> = Vec::with_capacity(recheck.len());
         for w in recheck {
-            let w_mbr = db.object(w).mbr().clone();
             if mbr_pruned(
                 &self.cand_mbrs,
-                &w_mbr,
+                db.object(w).mbr().view(),
                 self.query.mbr(),
                 self.op,
                 1,

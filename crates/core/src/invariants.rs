@@ -16,7 +16,6 @@
 
 use crate::config::FilterConfig;
 use crate::ctx::CheckCtx;
-use crate::db::Database;
 use crate::index::SpatialIndex;
 use crate::ops::Operator;
 use crate::query::PreparedQuery;
@@ -86,6 +85,7 @@ pub fn irreflexivity_spot_check(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::Database;
     use osd_geom::Point;
     use osd_uncertain::UncertainObject;
 

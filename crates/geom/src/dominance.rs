@@ -21,7 +21,7 @@
 //! (where the clamp term switches). Dominance holds iff the summed maxima
 //! are `≤ 0`.
 
-use crate::mbr::Mbr;
+use crate::mbr::MbrRef;
 
 /// Per-dimension contribution `g_i(t) = max((t−a)², (t−b)²) − dist²(t, [c,d])`.
 #[inline]
@@ -62,10 +62,17 @@ fn max_gap_1d(lo: f64, hi: f64, a: f64, b: f64, c: f64, d: f64) -> f64 {
 /// Exact MBR-level full spatial dominance:
 /// returns `true` iff `maxdist(q, u) ≤ mindist(q, v)` for every `q ∈ q_mbr`.
 ///
+/// Each box is an owned [`Mbr`](crate::Mbr) or a borrowed
+/// [`MbrRef`] (an R-tree slot box); both give the same bits.
+///
 /// # Panics
 /// Panics in debug builds if the three boxes disagree on dimensionality.
-pub fn mbr_dominates(u: &Mbr, v: &Mbr, q_mbr: &Mbr) -> bool {
-    max_total_gap(u, v, q_mbr) <= 0.0
+pub fn mbr_dominates<'u, 'v, 'q>(
+    u: impl Into<MbrRef<'u>>,
+    v: impl Into<MbrRef<'v>>,
+    q_mbr: impl Into<MbrRef<'q>>,
+) -> bool {
+    max_total_gap(u.into(), v.into(), q_mbr.into()) <= 0.0
 }
 
 /// Strict MBR-level dominance: `maxdist(q, u) < mindist(q, v)` for every
@@ -77,11 +84,15 @@ pub fn mbr_dominates(u: &Mbr, v: &Mbr, q_mbr: &Mbr) -> bool {
 /// (Definitions 2/3/5). The cover-based validation rules use this variant so
 /// a validated "dominates" can never be contradicted by distribution
 /// equality.
-pub fn mbr_dominates_strict(u: &Mbr, v: &Mbr, q_mbr: &Mbr) -> bool {
-    max_total_gap(u, v, q_mbr) < 0.0
+pub fn mbr_dominates_strict<'u, 'v, 'q>(
+    u: impl Into<MbrRef<'u>>,
+    v: impl Into<MbrRef<'v>>,
+    q_mbr: impl Into<MbrRef<'q>>,
+) -> bool {
+    max_total_gap(u.into(), v.into(), q_mbr.into()) < 0.0
 }
 
-fn max_total_gap(u: &Mbr, v: &Mbr, q_mbr: &Mbr) -> f64 {
+fn max_total_gap(u: MbrRef<'_>, v: MbrRef<'_>, q_mbr: MbrRef<'_>) -> f64 {
     debug_assert_eq!(u.dim(), v.dim());
     debug_assert_eq!(u.dim(), q_mbr.dim());
     let mut total = 0.0;
@@ -106,6 +117,7 @@ mod tests {
     #![allow(clippy::float_cmp)]
 
     use super::*;
+    use crate::mbr::Mbr;
     use crate::point::Point;
 
     #[test]

@@ -1,4 +1,10 @@
 //! Minimal bounding rectangles (MBRs) and box distance bounds.
+//!
+//! [`Mbr`] owns its corners; [`MbrRef`] borrows them, from an [`Mbr`] or
+//! from packed storage (an R-tree arena keeps every slot box in one `f64`
+//! column). Each box measure is written once, on [`MbrRef`], and the
+//! [`Mbr`] methods delegate to it, so an owned box and a borrowed view of
+//! the same corners give the same bits.
 
 use crate::point::Point;
 use std::fmt;
@@ -8,6 +14,14 @@ use std::fmt;
 pub struct Mbr {
     lo: Box<[f64]>,
     hi: Box<[f64]>,
+}
+
+/// A borrowed axis-aligned box: the two corner slices of an [`Mbr`] or of
+/// a packed box column.
+#[derive(Clone, Copy, PartialEq)]
+pub struct MbrRef<'a> {
+    lo: &'a [f64],
+    hi: &'a [f64],
 }
 
 impl Mbr {
@@ -41,15 +55,7 @@ impl Mbr {
     /// Panics if `points` is empty.
     pub fn from_points(points: &[Point]) -> Self {
         assert!(!points.is_empty(), "MBR of an empty point set");
-        let mut lo: Vec<f64> = points[0].coords().to_vec();
-        let mut hi = lo.clone();
-        for p in &points[1..] {
-            for (i, &c) in p.coords().iter().enumerate() {
-                lo[i] = lo[i].min(c);
-                hi[i] = hi[i].max(c);
-            }
-        }
-        Mbr::new(lo, hi)
+        Mbr::enclosing(points[0].coords(), points[1..].iter().map(Point::coords))
     }
 
     /// The tightest MBR enclosing a non-empty row-major coordinate block of
@@ -68,15 +74,36 @@ impl Mbr {
             0,
             "row block length must be a multiple of dim"
         );
-        let mut lo: Vec<f64> = rows[..dim].to_vec();
+        Mbr::enclosing(&rows[..dim], rows.chunks_exact(dim).skip(1))
+    }
+
+    /// The tightest MBR enclosing the coordinate row `first` and every row
+    /// of `rest`: the left-to-right min/max fold behind
+    /// [`Mbr::from_points`] and [`Mbr::from_rows`], for callers whose
+    /// points are neither a `Point` slice nor one row block.
+    ///
+    /// # Panics
+    /// Panics if `first` is empty or a row of `rest` has another length.
+    pub fn enclosing<'r>(first: &[f64], rest: impl IntoIterator<Item = &'r [f64]>) -> Self {
+        let mut lo: Vec<f64> = first.to_vec();
         let mut hi = lo.clone();
-        for row in rows.chunks_exact(dim).skip(1) {
+        for row in rest {
+            assert_eq!(row.len(), lo.len(), "corner dimension mismatch");
             for (i, &c) in row.iter().enumerate() {
                 lo[i] = lo[i].min(c);
                 hi[i] = hi[i].max(c);
             }
         }
         Mbr::new(lo, hi)
+    }
+
+    /// A borrowed view of this box.
+    #[inline]
+    pub fn view(&self) -> MbrRef<'_> {
+        MbrRef {
+            lo: &self.lo,
+            hi: &self.hi,
+        }
     }
 
     /// Dimensionality.
@@ -137,11 +164,7 @@ impl Mbr {
 
     /// Box volume (product of edge lengths). Zero for degenerate boxes.
     pub fn volume(&self) -> f64 {
-        self.lo
-            .iter()
-            .zip(self.hi.iter())
-            .map(|(l, h)| h - l)
-            .product()
+        self.view().volume()
     }
 
     /// Half-perimeter (sum of edge lengths) — the R*-tree margin measure.
@@ -151,53 +174,28 @@ impl Mbr {
 
     /// Whether `self` fully contains `other`.
     pub fn contains(&self, other: &Mbr) -> bool {
-        debug_assert_eq!(self.dim(), other.dim());
-        self.lo.iter().zip(other.lo.iter()).all(|(a, b)| a <= b)
-            && self.hi.iter().zip(other.hi.iter()).all(|(a, b)| a >= b)
+        self.view().contains(other.view())
     }
 
     /// Whether `self` contains the point `p`.
     pub fn contains_point(&self, p: &Point) -> bool {
-        debug_assert_eq!(self.dim(), p.dim());
-        p.coords()
-            .iter()
-            .enumerate()
-            .all(|(i, &c)| self.lo[i] <= c && c <= self.hi[i])
+        self.view().contains_row(p.coords())
     }
 
     /// Whether `self` contains the point with coordinate row `row` — the
     /// borrowed-slice twin of [`Mbr::contains_point`].
     pub fn contains_row(&self, row: &[f64]) -> bool {
-        debug_assert_eq!(self.dim(), row.len());
-        row.iter()
-            .enumerate()
-            .all(|(i, &c)| self.lo[i] <= c && c <= self.hi[i])
+        self.view().contains_row(row)
     }
 
     /// Whether the two boxes intersect (share at least one point).
     pub fn intersects(&self, other: &Mbr) -> bool {
-        debug_assert_eq!(self.dim(), other.dim());
-        self.lo.iter().zip(other.hi.iter()).all(|(l, h)| l <= h)
-            && other.lo.iter().zip(self.hi.iter()).all(|(l, h)| l <= h)
+        self.view().intersects(other.view())
     }
 
     /// Squared minimal distance from a point to this box (0 if inside).
     pub fn min_dist2_point(&self, p: &Point) -> f64 {
-        debug_assert_eq!(self.dim(), p.dim());
-        p.coords()
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let d = if c < self.lo[i] {
-                    self.lo[i] - c
-                } else if c > self.hi[i] {
-                    c - self.hi[i]
-                } else {
-                    0.0
-                };
-                d * d
-            })
-            .sum()
+        self.view().min_dist2_row(p.coords())
     }
 
     /// Minimal distance from a point to this box.
@@ -209,6 +207,155 @@ impl Mbr {
     /// Squared minimal distance from a coordinate row to this box — the
     /// borrowed-slice twin of [`Mbr::min_dist2_point`] (same per-dimension
     /// fold, bit-identical results).
+    pub fn min_dist2_row(&self, row: &[f64]) -> f64 {
+        self.view().min_dist2_row(row)
+    }
+
+    /// Minimal distance from a coordinate row to this box.
+    #[inline]
+    pub fn min_dist_row(&self, row: &[f64]) -> f64 {
+        self.min_dist2_row(row).sqrt()
+    }
+
+    /// Squared maximal distance from a point to this box (distance to the
+    /// farthest corner).
+    pub fn max_dist2_point(&self, p: &Point) -> f64 {
+        self.view().max_dist2_row(p.coords())
+    }
+
+    /// Maximal distance from a point to this box.
+    #[inline]
+    pub fn max_dist_point(&self, p: &Point) -> f64 {
+        self.max_dist2_point(p).sqrt()
+    }
+
+    /// Squared maximal distance from a coordinate row to this box — the
+    /// borrowed-slice twin of [`Mbr::max_dist2_point`].
+    pub fn max_dist2_row(&self, row: &[f64]) -> f64 {
+        self.view().max_dist2_row(row)
+    }
+
+    /// Maximal distance from a coordinate row to this box.
+    #[inline]
+    pub fn max_dist_row(&self, row: &[f64]) -> f64 {
+        self.max_dist2_row(row).sqrt()
+    }
+
+    /// Squared minimal distance between two boxes (0 if they intersect).
+    pub fn min_dist2(&self, other: &Mbr) -> f64 {
+        self.view().min_dist2(other.view())
+    }
+
+    /// Minimal distance between two boxes.
+    #[inline]
+    pub fn min_dist(&self, other: &Mbr) -> f64 {
+        self.min_dist2(other).sqrt()
+    }
+
+    /// Squared maximal distance between two boxes (farthest corner pair).
+    pub fn max_dist2(&self, other: &Mbr) -> f64 {
+        self.view().max_dist2(other.view())
+    }
+
+    /// Maximal distance between two boxes.
+    #[inline]
+    pub fn max_dist(&self, other: &Mbr) -> f64 {
+        self.max_dist2(other).sqrt()
+    }
+}
+
+impl fmt::Debug for Mbr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.view().fmt(f)
+    }
+}
+
+impl<'a> MbrRef<'a> {
+    /// Views `lo`/`hi` as a box. The corners must come from a valid box
+    /// (same non-zero length, `lo[i] <= hi[i]`); debug builds check the
+    /// lengths.
+    #[inline]
+    pub fn new(lo: &'a [f64], hi: &'a [f64]) -> Self {
+        debug_assert_eq!(lo.len(), hi.len(), "corner dimension mismatch");
+        debug_assert!(!lo.is_empty(), "an MBR needs at least one dimension");
+        MbrRef { lo, hi }
+    }
+
+    /// Views a packed `[lo…, hi…]` block of `2 · dim` values.
+    #[inline]
+    pub fn from_packed(corners: &'a [f64]) -> Self {
+        let (lo, hi) = corners.split_at(corners.len() / 2);
+        MbrRef::new(lo, hi)
+    }
+
+    /// Dimensionality.
+    #[inline]
+    pub fn dim(&self) -> usize {
+        self.lo.len()
+    }
+
+    /// Lower corner.
+    #[inline]
+    pub fn lo(&self) -> &'a [f64] {
+        self.lo
+    }
+
+    /// Upper corner.
+    #[inline]
+    pub fn hi(&self) -> &'a [f64] {
+        self.hi
+    }
+
+    /// An owned copy of the box.
+    pub fn to_mbr(&self) -> Mbr {
+        Mbr {
+            lo: self.lo.into(),
+            hi: self.hi.into(),
+        }
+    }
+
+    /// Box volume (product of edge lengths). Zero for degenerate boxes.
+    pub fn volume(&self) -> f64 {
+        self.lo
+            .iter()
+            .zip(self.hi.iter())
+            .map(|(l, h)| h - l)
+            .product()
+    }
+
+    /// Volume of the smallest box containing `self` and `other`: the bits
+    /// of `union(other).volume()`, without building the union.
+    pub fn union_volume(&self, other: MbrRef<'_>) -> f64 {
+        debug_assert_eq!(self.dim(), other.dim());
+        (0..self.dim())
+            .map(|i| self.hi[i].max(other.hi[i]) - self.lo[i].min(other.lo[i]))
+            .product()
+    }
+
+    /// Whether `self` fully contains `other`.
+    pub fn contains(&self, other: MbrRef<'_>) -> bool {
+        debug_assert_eq!(self.dim(), other.dim());
+        self.lo.iter().zip(other.lo.iter()).all(|(a, b)| a <= b)
+            && self.hi.iter().zip(other.hi.iter()).all(|(a, b)| a >= b)
+    }
+
+    /// Whether `self` contains the point with coordinate row `row`.
+    pub fn contains_row(&self, row: &[f64]) -> bool {
+        debug_assert_eq!(self.dim(), row.len());
+        row.iter()
+            .enumerate()
+            .all(|(i, &c)| self.lo[i] <= c && c <= self.hi[i])
+    }
+
+    /// Whether the two boxes intersect (share at least one point).
+    pub fn intersects(&self, other: MbrRef<'_>) -> bool {
+        debug_assert_eq!(self.dim(), other.dim());
+        self.lo.iter().zip(other.hi.iter()).all(|(l, h)| l <= h)
+            && other.lo.iter().zip(self.hi.iter()).all(|(l, h)| l <= h)
+    }
+
+    /// Squared minimal distance from a coordinate row to this box (0 if
+    /// inside).
     pub fn min_dist2_row(&self, row: &[f64]) -> f64 {
         debug_assert_eq!(self.dim(), row.len());
         row.iter()
@@ -226,34 +373,14 @@ impl Mbr {
             .sum()
     }
 
-    /// Minimal distance from a coordinate row to this box.
+    /// Squared minimal distance from a point to this box (0 if inside).
     #[inline]
-    pub fn min_dist_row(&self, row: &[f64]) -> f64 {
-        self.min_dist2_row(row).sqrt()
+    pub fn min_dist2_point(&self, p: &Point) -> f64 {
+        self.min_dist2_row(p.coords())
     }
 
-    /// Squared maximal distance from a point to this box (distance to the
-    /// farthest corner).
-    pub fn max_dist2_point(&self, p: &Point) -> f64 {
-        debug_assert_eq!(self.dim(), p.dim());
-        p.coords()
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let d = (c - self.lo[i]).abs().max((c - self.hi[i]).abs());
-                d * d
-            })
-            .sum()
-    }
-
-    /// Maximal distance from a point to this box.
-    #[inline]
-    pub fn max_dist_point(&self, p: &Point) -> f64 {
-        self.max_dist2_point(p).sqrt()
-    }
-
-    /// Squared maximal distance from a coordinate row to this box — the
-    /// borrowed-slice twin of [`Mbr::max_dist2_point`].
+    /// Squared maximal distance from a coordinate row to this box
+    /// (distance to the farthest corner).
     pub fn max_dist2_row(&self, row: &[f64]) -> f64 {
         debug_assert_eq!(self.dim(), row.len());
         row.iter()
@@ -265,14 +392,14 @@ impl Mbr {
             .sum()
     }
 
-    /// Maximal distance from a coordinate row to this box.
+    /// Squared maximal distance from a point to this box.
     #[inline]
-    pub fn max_dist_row(&self, row: &[f64]) -> f64 {
-        self.max_dist2_row(row).sqrt()
+    pub fn max_dist2_point(&self, p: &Point) -> f64 {
+        self.max_dist2_row(p.coords())
     }
 
     /// Squared minimal distance between two boxes (0 if they intersect).
-    pub fn min_dist2(&self, other: &Mbr) -> f64 {
+    pub fn min_dist2(&self, other: MbrRef<'_>) -> f64 {
         debug_assert_eq!(self.dim(), other.dim());
         (0..self.dim())
             .map(|i| {
@@ -288,14 +415,8 @@ impl Mbr {
             .sum()
     }
 
-    /// Minimal distance between two boxes.
-    #[inline]
-    pub fn min_dist(&self, other: &Mbr) -> f64 {
-        self.min_dist2(other).sqrt()
-    }
-
     /// Squared maximal distance between two boxes (farthest corner pair).
-    pub fn max_dist2(&self, other: &Mbr) -> f64 {
+    pub fn max_dist2(&self, other: MbrRef<'_>) -> f64 {
         debug_assert_eq!(self.dim(), other.dim());
         (0..self.dim())
             .map(|i| {
@@ -306,15 +427,16 @@ impl Mbr {
             })
             .sum()
     }
+}
 
-    /// Maximal distance between two boxes.
+impl<'a> From<&'a Mbr> for MbrRef<'a> {
     #[inline]
-    pub fn max_dist(&self, other: &Mbr) -> f64 {
-        self.max_dist2(other).sqrt()
+    fn from(m: &'a Mbr) -> Self {
+        m.view()
     }
 }
 
-impl fmt::Debug for Mbr {
+impl fmt::Debug for MbrRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Mbr[{:?}..{:?}]", self.lo, self.hi)
     }

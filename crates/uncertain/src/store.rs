@@ -244,8 +244,9 @@ impl InstanceStore {
     /// Rebuilds the store with its objects rearranged into `order`: the
     /// object at `order[k]` of `self` becomes object `k` of the result.
     /// Columns are copied once into the new object order; coordinate and
-    /// probability bits, spans and MBRs are taken verbatim, so every
-    /// per-object derived quantity is bit-for-bit unchanged.
+    /// probability bits and spans are taken verbatim and the MBRs are
+    /// moved, so every per-object derived quantity is bit-for-bit
+    /// unchanged and no MBR is re-allocated.
     ///
     /// This is the layout step of the sharded index: a Sort-Tile-Recursive
     /// object ordering turns each spatial shard into one *contiguous*
@@ -253,25 +254,27 @@ impl InstanceStore {
     ///
     /// # Panics
     /// Panics if `order` is not a permutation of `0..self.len()`.
-    pub fn permuted(&self, order: &[usize]) -> InstanceStore {
+    pub fn permuted(self, order: &[usize]) -> InstanceStore {
         assert_eq!(order.len(), self.len(), "order must cover every object");
-        let mut seen = vec![false; self.len()];
+        let mut mbrs: Vec<Option<Mbr>> = self.mbrs.into_iter().map(Some).collect();
         let mut out = InstanceStore {
             dim: self.dim,
             coords: Vec::with_capacity(self.coords.len()),
             probs: Vec::with_capacity(self.probs.len()),
             spans: Vec::with_capacity(self.spans.len()),
-            mbrs: Vec::with_capacity(self.mbrs.len()),
+            mbrs: Vec::with_capacity(mbrs.len()),
         };
+        let dim = self.dim;
         for &id in order {
-            assert!(!seen[id], "order repeats object {id}");
-            seen[id] = true;
-            let view = self.object(id);
-            let offset = out.probs.len();
-            out.coords.extend_from_slice(view.coords());
-            out.probs.extend_from_slice(view.probs());
-            out.spans.push((offset, view.len()));
-            out.mbrs.push(view.mbr().clone());
+            let mbr = mbrs[id].take();
+            assert!(mbr.is_some(), "order repeats object {id}");
+            out.mbrs.extend(mbr);
+            let (offset, len) = self.spans[id];
+            out.spans.push((out.probs.len(), len));
+            out.coords
+                .extend_from_slice(&self.coords[offset * dim..(offset + len) * dim]);
+            out.probs
+                .extend_from_slice(&self.probs[offset..offset + len]);
         }
         out
     }
@@ -775,7 +778,7 @@ mod tests {
     fn permuted_store_is_bitwise_identical_per_object() {
         let store = InstanceStore::from_objects(&sample_objects()).unwrap();
         let order = [2usize, 0, 1];
-        let perm = store.permuted(&order);
+        let perm = store.clone().permuted(&order);
         perm.validate().unwrap();
         assert_eq!(perm.len(), store.len());
         assert_eq!(perm.instance_count(), store.instance_count());

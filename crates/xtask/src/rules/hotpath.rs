@@ -158,7 +158,7 @@ pub(super) fn no_alloc_in_kernels(_ws: &Workspace, file: &SourceFile, out: &mut 
     }
 }
 
-/// Files with `// per-shard descent: begin` / `end` regions: the Node
+/// Files with `// per-shard descent: begin` / `end` regions: the node
 /// expansion arm of the merged-forest traversal.
 const DESCENT_REGION_FILES: &[&str] = &["crates/core/src/nnc.rs"];
 

@@ -119,4 +119,10 @@ cargo run -q -p osd-cli --bin osd -- trace last 1 \
 grep -qF "recorded" "$SMOKE_DIR/trace-read.out" \
   || { echo "trace smoke: osd trace could not read the recorder back"; exit 1; }
 
+echo "== bad-input smoke (no panic on NaN / out-of-range input) =="
+# A NaN or 1e308 coordinate in the data and a NaN query coordinate must
+# fail with a typed error naming the line or flag, never a panic.
+cargo build -q -p osd-cli --bin osd
+scripts/bad_input_smoke.sh target/debug/osd
+
 echo "check.sh: all gates passed"
