@@ -292,7 +292,7 @@ const _: () = assert_send_sync::<crate::DominanceCache>();
 const _: () = assert_send_sync::<NncResult>();
 const _: () = assert_send_sync::<QueryEngine<'static>>();
 const _: () = assert_send_sync::<crate::CheckCtx<'static>>();
-const _: () = assert_send_sync::<osd_rtree::RTree<usize>>();
+const _: () = assert_send_sync::<osd_rtree::RTree>();
 const _: () = assert_send_sync::<osd_uncertain::UncertainObject>();
 const _: () = assert_send_sync::<crate::WarmPool>();
 const _: () = assert_send_sync::<crate::WarmCache>();

@@ -227,13 +227,13 @@ pub trait SpatialIndex: Send + Sync {
 
     /// Local R-tree over the instances of object `id` (payload = instance
     /// index *within the object*).
-    fn local_tree(&self, id: usize) -> &RTree<usize>;
+    fn local_tree(&self, id: usize) -> &RTree;
 
     /// Number of global-tree shards (1 for a flat database).
     fn shard_count(&self) -> usize;
 
     /// Global R-tree of shard `shard` (payload = logical object id).
-    fn shard_tree(&self, shard: usize) -> &RTree<usize>;
+    fn shard_tree(&self, shard: usize) -> &RTree;
 
     /// Smallest squared distance from any of `probes` to any instance of
     /// object `id`, best-first over the local tree with a bound shared
@@ -248,10 +248,10 @@ pub trait SpatialIndex: Send + Sync {
 
 /// Computes the [`ShardStats`] of one global tree over the objects it
 /// indexes (shared by both concrete databases).
-pub(crate) fn shard_stats_of(index: &dyn SpatialIndex, tree: &RTree<usize>) -> ShardStats {
+pub(crate) fn shard_stats_of(index: &dyn SpatialIndex, tree: &RTree) -> ShardStats {
     let mut instances = 0;
     let mut approx_bytes = 0;
-    for &id in tree.items() {
+    for id in tree.items() {
         let view = index.object(id);
         instances += view.len();
         approx_bytes += view.approx_bytes();

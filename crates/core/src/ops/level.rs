@@ -209,17 +209,17 @@ fn try_decide_snapshot(
     None
 }
 
-fn group_masses(db: &dyn SpatialIndex, id: usize, groups: &[(Mbr, Vec<&usize>)]) -> Vec<f64> {
+fn group_masses(db: &dyn SpatialIndex, id: usize, groups: &[(Mbr, Vec<usize>)]) -> Vec<f64> {
     let obj = db.object(id);
     groups
         .iter()
-        .map(|(_, items)| items.iter().map(|&&i| obj.prob(i)).sum())
+        .map(|(_, items)| items.iter().map(|&i| obj.prob(i)).sum())
         .collect()
 }
 
 /// `(group MBR, group mass)` view over the scalar per-pair rebuild.
 fn group_view<'m>(
-    groups: &'m [(Mbr, Vec<&usize>)],
+    groups: &'m [(Mbr, Vec<usize>)],
     masses: &'m [f64],
 ) -> impl Iterator<Item = (&'m Mbr, f64)> + Clone {
     groups.iter().map(|(m, _)| m).zip(masses.iter().copied())

@@ -123,7 +123,7 @@ pub(crate) fn check(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> bool {
             let range = Mbr::new(vec![0.0; k], v_img.coords());
             let hits = mapped_u.1.range_contained(&range);
             ctx.stats.instance_comparisons += (hits.len() + 1) as u64;
-            edges.extend(hits.into_iter().map(|&i| (i, j)));
+            edges.extend(hits.into_iter().map(|i| (i, j)));
         }
         saturates(&quanta_u, &quanta_v, &edges, ctx)
     } else if ctx.cfg.kernels {
@@ -242,11 +242,11 @@ fn level_filter(u: usize, v: usize, ctx: &mut CheckCtx<'_>) -> Option<bool> {
         let gv = tree_v.level_groups(level);
         let caps_u: Vec<u64> = gu
             .iter()
-            .map(|(_, items)| items.iter().map(|&&i| quanta_u[i]).sum())
+            .map(|(_, items)| items.iter().map(|&i| quanta_u[i]).sum())
             .collect();
         let caps_v: Vec<u64> = gv
             .iter()
-            .map(|(_, items)| items.iter().map(|&&i| quanta_v[i]).sum())
+            .map(|(_, items)| items.iter().map(|&i| quanta_v[i]).sum())
             .collect();
         ctx.stats.mbr_checks += (gu.len() * gv.len()) as u64;
 
